@@ -28,6 +28,7 @@ from .graph import (
     read_graph,
     write_graph,
 )
+from .scheme import SchemeStageError
 from .scheme import solve as scheme_solve
 from .sparsify import sample_edges, strip_cheap_2cuts
 from .treepack import pack_trees
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     except OracleTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvalidInputError as exc:
+    except (InvalidInputError, SchemeStageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,9 @@ At each node it guesses which edges of the spanning-tree projection an
 optimal solution cuts, derives from that guess a coarse split of the bag
 into a center and loosely attached satellite parts, and then runs a
 knapsack-style composition over the children hanging off each satellite.
+A guess's components come straight from the projection, rooted once per
+(tree, bag); a small childless bag scores every grouping of them from the
+guess's component-pair weight matrix and keeps only per-key minima.
 Every finite table entry corresponds to an actually constructible partition;
 traceback reconstruction re-verifies this by recomputing weights.
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -63,12 +67,10 @@ def _mask(vertices: Iterable[int]) -> int:
 
 def _bits(mask: int) -> list[int]:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -116,15 +118,36 @@ def _label_vectors(c: int) -> tuple[tuple[int, ...], ...]:
     return res
 
 
+@lru_cache(maxsize=None)
+def _scoring(c: int, k: int, touch: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """Groupings of c pieces into at most k parts, in ``_label_vectors``
+    order: their label vectors, the flat indices ``a * c + b`` (a < b) of the
+    piece pairs each separates, and their positions grouped by (labels of the
+    ``touch`` pieces, part count), which fixes the adhesion projection."""
+    labelings = tuple(lab for lab in _label_vectors(c) if max(lab, default=-1) < k)
+    pairs = tuple(
+        tuple(a * c + b for a in range(c) for b in range(a + 1, c) if lab[a] != lab[b])
+        for lab in labelings
+    )
+    groups: dict[tuple, list[int]] = {}
+    for i, lab in enumerate(labelings):
+        groups.setdefault((tuple(lab[j] for j in touch), max(lab, default=-1) + 1), []).append(i)
+    return labelings, pairs, tuple((key, tuple(idx)) for key, idx in groups.items())
+
+
+def _merged(pieces: Sequence[int], labels: Sequence[int], nparts: int) -> list[int]:
+    acc = [0] * nparts
+    for p, lab in zip(pieces, labels):
+        acc[lab] |= p
+    return acc
+
+
 def _groupings(pieces: Sequence[int]) -> list[MaskPartition]:
     """All merges of disjoint masks into coarser partitions."""
-    out = []
-    for labels in _label_vectors(len(pieces)):
-        acc: dict[int, int] = {}
-        for piece, lab in zip(pieces, labels):
-            acc[lab] = acc.get(lab, 0) | piece
-        out.append(tuple(sorted(acc.values())))
-    return out
+    return [
+        tuple(sorted(_merged(pieces, lab, max(lab, default=-1) + 1)))
+        for lab in _label_vectors(len(pieces))
+    ]
 
 
 # -- spanning tree projection ------------------------------------------------
@@ -194,24 +217,44 @@ def project_tree(tree: Iterable[tuple[int, int]], x: Iterable[int]) -> Projected
     return out
 
 
-def _tree_components(verts: Sequence[int], edges: Sequence[ProjEdge], cut: set[int]) -> list[int]:
-    """Component masks of the projected tree after deleting ``cut`` edges."""
-    parent = {v: v for v in verts}
+def _rooted_sides(pt: ProjectedTree) -> tuple[int, tuple[int, ...]]:
+    """The vertex mask of a projected tree and, per edge, the mask of the
+    vertices below it when the tree hangs from its smallest vertex."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in pt.vertices}
+    for i, e in enumerate(pt.edges):
+        adj[e.u].append((e.v, i))
+        adj[e.v].append((e.u, i))
+    order = [min(adj)] if adj else []
+    up = {v: (-1, -1) for v in order}
+    for v in order:
+        for w, i in adj[v]:
+            if w not in up:
+                up[w] = (v, i)
+                order.append(w)
+    sub = {v: 1 << v for v in order}
+    below = [0] * len(pt.edges)
+    for v in reversed(order):
+        p, i = up[v]
+        if i >= 0:
+            below[i] = sub[v]
+            sub[p] |= sub[v]
+    return _mask(pt.vertices), tuple(below)
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i, e in enumerate(edges):
-        if i not in cut:
-            parent[find(e.u)] = find(e.v)
-    groups: dict[int, int] = {}
-    for v in verts:
-        r = find(v)
-        groups[r] = groups.get(r, 0) | (1 << v)
-    return sorted(groups.values())
+def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list[int]:
+    """Sorted component masks of a rooted tree after deleting the ``cut``
+    edges.  Each vertex joins the nearest cut edge above it: taking the
+    nested-or-disjoint lower sides smallest first, each keeps what no
+    smaller one took, and the root keeps the rest."""
+    comps = []
+    taken = 0
+    for side in sorted((below[i] for i in cut), key=int.bit_count):
+        comps.append(side & ~taken)
+        taken |= side
+    if full:
+        comps.append(full & ~taken)
+    comps.sort()
+    return comps
 
 
 # -- feasible families --------------------------------------------------------
@@ -229,13 +272,12 @@ def _feasible_masks(pt: ProjectedTree, k: int) -> frozenset[MaskPartition]:
     if not pt.x:
         return frozenset({()})
     xmask = _mask(pt.x)
-    verts = sorted(pt.vertices)
+    full, below = _rooted_sides(pt)
     out: set[MaskPartition] = set()
     budget = min(guess_budget(k), len(pt.edges))
     for r in range(budget + 1):
         for cut in combinations(range(len(pt.edges)), r):
-            comps = _tree_components(verts, pt.edges, set(cut))
-            for merged in _groupings(comps):
+            for merged in _groupings(_cut_components(full, below, cut)):
                 out.add(_proj_masks(merged, xmask))
     return frozenset(out)
 
@@ -316,8 +358,9 @@ class _Level:
     """Coarsening candidates for one knapsack level, indexed for fast eval.
 
     Candidates group by their adhesion projection when the level hosts the
-    node's own adhesion.  Levels without children additionally keep only the
-    per-(projection, part count) minima, since nothing else can matter.
+    node's own adhesion.  Levels without children keep only the
+    per-(projection, part count) minima in ``best``, since nothing else can
+    matter; a small bag fills them from its guesses without ``add``.
     """
 
     __slots__ = ("mask", "check_at", "childless", "by_at", "coarsenings", "best")
@@ -350,12 +393,11 @@ class _Skeleton:
     """Levels of one knapsack run.  ``static`` skeletons touch no child
     tables, so their evaluations can be memoized across trees."""
 
-    __slots__ = ("levels", "center", "seen_parts", "static", "memo")
+    __slots__ = ("levels", "center", "static", "memo")
 
     def __init__(self, levels: list[_Level], center: int):
         self.levels = levels
         self.center = center
-        self.seen_parts: set = set()
         self.static = False
         self.memo: dict = {}
 
@@ -422,7 +464,8 @@ def _cached_engine(g: MultiGraph, td: TreeDecomposition, k: int, s: int) -> "_En
 class _Engine:
     """Budget-independent solver state shared across family trees and
     across budget sweeps: node contexts, coarsening candidates, crossing
-    weights, and per-tree skeletons.
+    weights, per-guess grouping minima of childless small bags, and
+    per-tree skeletons.
 
     The crossing-weight and grouping memos do not depend on k or the
     decomposition either, so they are shared per graph."""
@@ -437,6 +480,7 @@ class _Engine:
         self._tree_cache: dict[tuple, tuple[dict, dict]] = {}
         self._cand_cache: dict[tuple, list[NiceDecomposition]] = {}
         self._skel_cache: dict[tuple, _Skeleton | None] = {}
+        self._minima_cache: dict[tuple, tuple] = {}
         self._small = tuple(len(b) <= tau_big(k, s) for b in td.bags)
         for t in range(len(td)):
             self._build_ctx(t)
@@ -674,51 +718,58 @@ class _Engine:
     # .. per-node skeleton assembly ..
 
     def _node_skeletons(self, t: int, tree: tuple[tuple[int, int], ...]) -> list[_Skeleton]:
+        """Skeletons of node t under one tree.
+
+        The bag's projection of the tree is rooted once; each guess of
+        crossed projection edges then yields its components directly.  A
+        small bag gets one merged skeleton over the maximal guesses (its
+        value is monotone under guess enlargement).  Only groupings of at
+        most k parts can fit a state.  Without children the level keeps the
+        per-key minima of ``_grouping_minima``, moving one only on a strictly
+        smaller weight, so the first minimiser in guess-then-grouping order
+        stays; with children it keeps every such grouping as a ``_Coarse``.
+        An oversized bag gets one skeleton per distinct nice decomposition
+        of every guess.
+        """
         ctx = self.ctxs[t]
         proj = project_tree(tree, ctx.bag)
-        verts = sorted(proj.vertices)
         m = len(proj.edges)
         cap = min(guess_budget(self.k), m)
-        comp_table = _component_table(verts, proj.edges)
-        full = (1 << m) - 1
-        skels: list[_Skeleton] = []
+        full, below = _rooted_sides(proj)
         if ctx.small:
-            # Single merged skeleton; its value is monotone under guess
-            # enlargement, so only maximal guesses are generated.
+            guesses = (
+                _proj_masks(_cut_components(full, below, guess), ctx.bag_mask)
+                for guess in combinations(range(m), cap)
+            )
             kids = tuple(ctx.children)
             lvl = _Level(ctx.bag_mask, check_at=True, childless=not kids)
+            if not kids:
+                for pieces in guesses:
+                    for key, w, parts in self._grouping_minima(ctx, pieces):
+                        cur = lvl.best.get(key)
+                        if cur is None or w < cur[0]:
+                            lvl.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
+            else:
+                cdict = self.coarse_dict(t, kids)
+                seen: set[MaskPartition] = set()
+                for pieces in guesses:
+                    for parts in self.groupings_of(pieces):
+                        if len(parts) > self.k or parts in seen:
+                            continue
+                        seen.add(parts)
+                        co = cdict.get(parts)
+                        if co is None:
+                            co = self._make_coarse(ctx, parts, kids, cdict)
+                        lvl.add(co)
             skel = _Skeleton([lvl], 0)
-            seen = skel.seen_parts
-            cdict = self.coarse_dict(t, kids)
-            groupings_of = self.groupings_of
-            for guess in combinations(range(m), cap):
-                kept = full
-                for gi in guess:
-                    kept ^= 1 << gi
-                comps = comp_table[kept]
-                if len(comps) > 2 * self.k - 1:
-                    continue
-                pieces = _proj_masks(comps, ctx.bag_mask)
-                for parts in groupings_of(pieces):
-                    if parts in seen:
-                        continue
-                    seen.add(parts)
-                    co = cdict.get(parts)
-                    if co is None:
-                        co = self._make_coarse(ctx, parts, kids, cdict)
-                    lvl.add(co)
-            if lvl.coarsenings:
-                skel.seal()
-                skels.append(skel)
-            return skels
+            skel.seal()
+            return [skel]
+        skels: list[_Skeleton] = []
         seen_nd: set[tuple] = set()
         for r in range(cap + 1):
             for guess in combinations(range(m), r):
-                kept = full
-                for gi in guess:
-                    kept ^= 1 << gi
-                comps = comp_table[kept]
-                for nd in self.big_candidates(ctx, list(comps)):
+                comps = _cut_components(full, below, guess)
+                for nd in self.big_candidates(ctx, comps):
                     key = (nd.pprime, nd.qtilde, nd.center)
                     if key in seen_nd:
                         continue
@@ -728,33 +779,41 @@ class _Engine:
                         skels.append(skel)
         return skels
 
+    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
+        """Per (adhesion projection, part count <= k) key, the weight and
+        parts of the first lightest grouping of one guess's pieces, in label
+        order; memoized per node, since trees share most guesses' pieces.
 
-def _component_table(verts: list[int], edges: Sequence[ProjEdge]) -> list[tuple[int, ...]]:
-    """Component partitions for every kept-edge subset of a projected tree.
-
-    Entry ``table[kept]`` is the sorted component masks after deleting the
-    edges outside ``kept``; built bottom-up by merging one edge at a time.
-    """
-    m = len(edges)
-    base = tuple(sorted(1 << v for v in verts))
-    table: list[tuple[int, ...] | None] = [None] * (1 << m)
-    table[0] = base
-    for kept in range(1, 1 << m):
-        low = (kept & -kept).bit_length() - 1
-        prev = table[kept ^ (1 << low)]
-        e = edges[low]
-        bu, bv = 1 << e.u, 1 << e.v
-        merged: list[int] = []
-        block = 0
-        for c in prev:
-            if c & bu or c & bv:
-                block |= c
-            else:
-                merged.append(c)
-        merged.append(block)
-        merged.sort()
-        table[kept] = tuple(merged)
-    return table  # type: ignore[return-value]
+        One pass over the bag's edges gives the weight between every two
+        pieces; a grouping's crossing weight is the sum over the piece pairs
+        it separates."""
+        got = self._minima_cache.get((ctx.node, pieces))
+        if got is not None:
+            return got
+        c = len(pieces)
+        adh = ctx.adh_mask
+        touch = tuple(i for i, p in enumerate(pieces) if p & adh)
+        labelings, pairs, groups = _scoring(c, self.k, touch)
+        owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
+        between = [0] * (c * c)
+        for u, v, w in ctx.bag_edges:
+            a, b = owner[u], owner[v]
+            if a != b:
+                between[a * c + b if a < b else b * c + a] += w
+        weights = [sum(map(between.__getitem__, ab)) for ab in pairs]
+        adh_pieces = [pieces[j] & adh for j in touch]
+        found: dict[tuple, tuple[int, int]] = {}
+        for (pattern, nparts), idx in groups:
+            i = min(idx, key=weights.__getitem__)
+            at = tuple(sorted(a for a in _merged(adh_pieces, pattern, nparts) if a))
+            got = found.get((at, nparts))
+            if got is None or (weights[i], i) < got:
+                found[(at, nparts)] = (weights[i], i)
+        got = self._minima_cache[(ctx.node, pieces)] = tuple(
+            (key, w, tuple(sorted(_merged(pieces, labelings[i], key[1]))))
+            for key, (w, i) in found.items()
+        )
+        return got
 
 
 class TreeCutDP:
@@ -1093,8 +1152,8 @@ def nice_decompositions(
     """Candidate nice decompositions for one guess of crossed edges."""
     dp = _dp if _dp is not None else TreeCutDP(_Engine(g, td, k, s), tree, s)
     ctx = dp.e.ctxs[t]
-    proj = project_tree(tree, ctx.bag)
-    comps = _tree_components(sorted(proj.vertices), proj.edges, set(cprime))
+    full, below = _rooted_sides(project_tree(tree, ctx.bag))
+    comps = _cut_components(full, below, set(cprime))
     if ctx.small:
         if len(comps) > 2 * k - 1:
             return []

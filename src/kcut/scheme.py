@@ -135,7 +135,8 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
     gw = _as_weighted(g)
     n = g.n
 
-    comps = connected_components(gw)
+    # Weight-0 records connect nothing a cut has to pay for.
+    comps = connected_components(MultiGraph.weighted(n, [e for e in gw.edges if e[2] > 0]))
     if len(comps) >= k:
         parts = _merge_to_k_parts([set(p) for p in comps.parts], k)
         partition = Partition.from_parts(parts)
@@ -172,7 +173,9 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
         )
         return SchemeResult(partition, value, stats)
 
-    if eps_inner > Fraction(1, n):
+    # Rounding may have contracted heavy edges, so the sampling stage's
+    # precondition is checked against the graph it actually receives.
+    if eps_inner > Fraction(1, g1.n):
         with _stage("sampling"):
             sample = sample_edges(g1, k, eps_inner, seed=seed)
         g2, rate, inv_rate = sample.graph, sample.rate, sample.inverse_rate

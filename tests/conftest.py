@@ -1,6 +1,14 @@
+import os
 import random
+from pathlib import Path
 
 from kcut.graph import MultiGraph
+
+# The CLI determinism tests run ``python -m kcut.cli`` in a subprocess; point
+# it at this checkout's sources, as ``pythonpath`` in pyproject.toml does for
+# the test process itself.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def connected_multigraph(seed: int, n_lo=5, n_hi=9, extra_hi=6, mult_max=3) -> MultiGraph:

@@ -95,6 +95,35 @@ class TestRunModes:
         code, _, err = run_cli(["run", "--input", "/nonexistent", "--k", "2", "--mode", "oracle"], capsys)
         assert code == 2
 
+    def test_approx_zero_weight_edge(self, tmp_path, capsys):
+        # Two triangles joined only by a weight-0 record: the zero cut.
+        text = "p 6 7 weighted\n0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 0\n"
+        path = write(tmp_path, "zero.g", text)
+        code, out, _ = run_cli(
+            ["run", "--input", path, "--k", "2", "--mode", "approx", "--epsilon", "1/2", "--json"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["value"] == "0"
+        assert report["stats"]["branch"] == "components"
+
+    def test_scheme_stage_error_exit2(self, tmp_path, capsys, monkeypatch):
+        from kcut import scheme as scheme_mod
+        from kcut.graph import InvalidInputError
+
+        def boom(*args, **kwargs):
+            raise InvalidInputError("synthetic failure")
+
+        monkeypatch.setattr(scheme_mod, "strip_cheap_2cuts", boom)
+        path = write(tmp_path, "b.g", BRIDGED)
+        code, out, err = run_cli(
+            ["run", "--input", path, "--k", "2", "--mode", "approx", "--epsilon", "1/2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: stripping stage failed: synthetic failure" in err.splitlines()
+
     def test_oracle_too_large_exit3(self, tmp_path, capsys):
         big = "p 15 14 multi\n" + "\n".join(f"{i} {i+1} 1" for i in range(14)) + "\n"
         path = write(tmp_path, "big.g", big)

@@ -8,6 +8,8 @@ from kcut.decomposition import TreeDecomposition, build_unbreakable_decompositio
 from kcut.dp import (
     NiceDecomposition,
     Partition,
+    TreeCutDP,
+    _Engine,
     compute_state,
     cut_guess_value,
     exact_values,
@@ -18,7 +20,9 @@ from kcut.dp import (
     solve_exact,
 )
 from kcut.graph import InvalidInputError, MultiGraph, cut_weight
-from kcut.treepack import enumerate_spanning_trees
+from kcut.treepack import enumerate_spanning_trees, pack_trees
+
+from conftest import connected_multigraph
 
 
 def path_graph(n):
@@ -341,3 +345,69 @@ class TestKnapsackValue:
             for nd in nds
         ]
         assert any(v == 1 for v in vals if v is not None)
+
+
+def doubled_cycles(n):
+    """Two cycles of n/2 doubled edges joined by two unit edges: min 2-cut 2."""
+    h = n // 2
+    edges = [(i, (i + 1) % h, 2) for i in range(h)]
+    edges += [(h + i, h + (i + 1) % h, 2) for i in range(h)]
+    edges += [(0, h, 1), (h // 2, h + h // 2, 1)]
+    return MultiGraph.multi(n, edges)
+
+
+def grid(rows, cols):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return MultiGraph.multi(rows * cols, edges)
+
+
+class TestLargeBags:
+    """Single bags of 20-40 vertices, whose optima are known without
+    enumeration: the guess enumeration must stay polynomial here."""
+
+    def test_doubled_cycles(self):
+        g = doubled_cycles(20)
+        assert not solve_exact(g, 2, 1).feasible
+        res = solve_exact(g, 2, 2, mode="construct")
+        assert res.feasible and res.value == 2
+        assert cut_weight(g, res.partition) == 2
+
+    def test_grid_5x8(self):
+        g = grid(5, 8)
+        res = solve_exact(g, 2, 2, mode="construct")
+        assert res.feasible and res.value == 2
+        assert cut_weight(g, res.partition) == 2
+        assert not solve_exact(g, 2, 1).feasible
+
+
+class TestSingleBagDifferential:
+    def test_root_values_match_feasible_family(self):
+        # With the whole vertex set as one bag, the DP's root value for i
+        # parts is the lightest i-part partition the tree's feasible family
+        # holds.
+        for seed in range(30):
+            g = connected_multigraph(seed, n_lo=3, n_hi=9)
+            k = 2 + seed % 2
+            if k > g.n:
+                continue
+            s = sum(w for _, _, w in g.edges)
+            td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
+            engine = _Engine(g, td, k, s)
+            fam = pack_trees(g, 3)
+            for ti in range(len(fam)):
+                tree = fam.tree_edges(ti)
+                root = TreeCutDP(engine, tree, s).run()
+                family = feasible_family(project_tree(tree, range(g.n)), k).partitions
+                for i in range(1, k + 1):
+                    want = min(
+                        (cut_weight(g, p) for p in family if len(p) == i), default=None
+                    )
+                    got = root.get(((), i))
+                    assert (None if got is None else got[0]) == want, (seed, ti, i)

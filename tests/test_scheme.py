@@ -72,6 +72,24 @@ class TestSolveBranches:
         assert res.value == 1
         assert {frozenset([0, 1, 2]), frozenset([3, 4, 5])} == set(res.partition.parts)
 
+    def test_sampling_decided_after_contraction(self):
+        # Three weighted cycles (5, 4 and 4 vertices), each with one heavy
+        # edge, joined by three unit edges.  Rounding contracts the heavy
+        # edges, leaving 10 vertices: at epsilon = 1 the inner epsilon 1/10
+        # does not exceed 1/10, so the scheme must skip sampling.
+        edges = [(2, 7, 1), (8, 11, 1), (3, 12, 1)]
+        for cl in ([0, 1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]):
+            for a, b in zip(cl, cl[1:] + cl[:1]):
+                edges.append((a, b, 100 if (a, b) == (cl[0], cl[1]) else 3))
+        g = MultiGraph.weighted(13, edges)
+        res = solve(g, 3, 1)
+        assert res.stats.branch == "main"
+        assert res.stats.sample_rate == 1
+        assert res.value == 3
+        assert set(res.partition.parts) == {
+            frozenset(range(5)), frozenset(range(5, 9)), frozenset(range(9, 13))
+        }
+
     def test_invalid(self):
         g = two_triangles_bridge()
         with pytest.raises(InvalidInputError):
