@@ -62,28 +62,45 @@ class _Dinic:
                         queue.append(v)
             if level[t] < 0:
                 return flow
-            it = [0] * self.n
+            flow += self._blocking_flow(s, t, level)
 
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    eid = self.head[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        """Push one s-t path at a time along the level graph until none is left.
 
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
+        ``path`` is the stack of arcs from s to the current vertex.  A dead
+        end pops its arc and advances the parent's arc pointer, so each
+        vertex scans its arcs once per phase, in ``head`` order.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        it = [0] * self.n
+        total = 0
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = s
+                continue
+            arcs = head[u]
+            while it[u] < len(arcs):
+                eid = arcs[it[u]]
+                if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
                     break
-                flow += pushed
+                it[u] += 1
+            else:
+                if u == s:
+                    return total
+                eid = path.pop()
+                u = to[eid ^ 1]
+                it[u] += 1
+                continue
+            path.append(eid)
+            u = to[eid]
 
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -95,6 +112,78 @@ class _Dinic:
                     seen.add(v)
                     queue.append(v)
         return seen
+
+
+class ResidualNetwork:
+    """The arcs of a multigraph, built once, for many bounded cut decisions.
+
+    Each decision copies the initial capacities and augments along shortest
+    paths, so it costs at most s+2 breadth-first searches, O((s+1)·m).
+    """
+
+    def __init__(self, g: MultiGraph):
+        _require_multi(g)
+        self.n = g.n
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for u, v, w in g.edges:
+            self.adj[u].append((v, len(self.to)))
+            self.to.append(v)
+            self.adj[v].append((u, len(self.to)))
+            self.to.append(u)
+            self.cap += (w, w)
+
+    def small_cut_side(self, sources: Iterable[int], sinks: Iterable[int], s: int) -> frozenset[int] | None:
+        """The source side of a minimum sources-sinks cut if its order is at most s.
+
+        The side is the set a residual search from the sources reaches after a
+        maximum flow, which is the unique minimal minimum-cut source side, so
+        it equals ``min_st_edge_cut(g, sources, sinks).cut.side_a``.  Returns
+        None as soon as the flow exceeds s.
+        """
+        adj, to = self.adj, self.to
+        cap = self.cap[:]
+        sources = list(sources)
+        is_sink = [False] * self.n
+        for v in sinks:
+            is_sink[v] = True
+        flow = 0
+        while True:
+            via = [-1] * self.n  # arc that reached each vertex; -2 at sources
+            for v in sources:
+                via[v] = -2
+            reached = list(sources)
+            hit = -1
+            for u in reached:
+                for v, eid in adj[u]:
+                    if via[v] == -1 and cap[eid]:
+                        via[v] = eid
+                        if is_sink[v]:
+                            hit = v
+                            break
+                        reached.append(v)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                return frozenset(reached)
+            path = []
+            v = hit
+            while via[v] != -2:
+                path.append(via[v])
+                v = to[via[v] ^ 1]
+            pushed = min(cap[eid] for eid in path)
+            for eid in path:
+                cap[eid] -= pushed
+                cap[eid ^ 1] += pushed
+            flow += pushed
+            if flow > s:
+                return None
+
+    def has_cut_at_most(self, s: int) -> bool:
+        """Whether some 2-cut has order at most s: the global minimum cut is
+        the minimum over t of the 0-t cut, so stop at the first small one."""
+        return any(self.small_cut_side((0,), (t,), s) is not None for t in range(1, self.n))
 
 
 def _require_multi(g: MultiGraph) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cuts import global_min_2cut, min_st_edge_cut, min_vertex_separator
+from .cuts import ResidualNetwork, min_vertex_separator
 from .graph import (
     EdgeCut,
     InvalidInputError,
@@ -223,7 +223,8 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
     q = frozenset(terminals)
     if len(q) < 2 * (s + 1):
         return None
-    if g.n >= 2 and global_min_2cut(g).order > s:
+    net = ResidualNetwork(g)
+    if not net.has_cut_at_most(s):
         return None  # no nontrivial cut of order <= s exists at all
 
     root = 0
@@ -292,9 +293,10 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
         for c2 in members[i + 1 :]:
             if c1 & c2:
                 continue
-            res = min_st_edge_cut(g, c1, c2)
-            if res.value <= s:
-                cut = res.cut
+            side = net.small_cut_side(c1, c2, s)
+            if side is not None:
+                cut = EdgeCut.of(g, side)
+                assert cut.order <= s
                 assert len(cut.side_a & q) >= s + 1 and len(cut.side_b & q) >= s + 1
                 return cut
     return None

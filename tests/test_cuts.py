@@ -5,6 +5,7 @@ import pytest
 
 from kcut.cuts import (
     OracleTooLargeError,
+    ResidualNetwork,
     approx2_kcut,
     global_min_2cut,
     min_nontrivial_2cut,
@@ -38,6 +39,17 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return MultiGraph.multi(10, outer + inner + spokes)
+
+
+def grid(rows, cols):
+    right = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    down = [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return MultiGraph.multi(rows * cols, right + down)
+
+
+def barbell():
+    k = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return MultiGraph.multi(10, k + [(a + 6, b + 6) for a, b in k] + [(3, 4), (4, 6), (2, 5), (5, 7)])
 
 
 def random_multigraph(rng, n_max=7, m_max=12, mult_max=3, connected=False):
@@ -227,6 +239,61 @@ def _brute_separator_order(g, z1, z2):
             if ok and not (set(z1) & set(z2) - cset):
                 return size
     return n
+
+
+class TestIterativeFlow:
+    """The max-flow walks arcs with an explicit stack; the expected values
+    below were recorded from the recursive implementation it replaced."""
+
+    def test_long_path_no_recursion_error(self):
+        res = min_st_edge_cut(path(1500), [0], [1499])
+        assert res.value == 1
+        assert res.cut.side_a == frozenset([0])
+
+    def test_global_min_2cut_pinned(self):
+        assert global_min_2cut(petersen()) == EdgeCut.of(petersen(), [0])
+        assert global_min_2cut(grid(4, 5)) == EdgeCut.of(grid(4, 5), [0])
+        cut = global_min_2cut(barbell())
+        assert (cut.order, cut.side_a) == (2, frozenset(range(4)))
+
+    def test_min_vertex_separator_pinned(self):
+        res = min_vertex_separator(petersen(), [0, 1, 2], [7, 8, 9])
+        assert res.separator == frozenset([0, 1, 2])
+        assert res.paths == ((0, 4, 9), (1, 6, 8), (2, 7))
+        res = min_vertex_separator(grid(4, 5), [0, 5], [14, 19])
+        assert res.x1 == res.separator == frozenset([0, 5])
+        assert res.paths == ((0, 1, 2, 3, 4, 9, 14), (5, 6, 7, 8, 13, 18, 19))
+        res = min_vertex_separator(barbell(), [0, 1], [8, 9])
+        assert res.x2 == frozenset(range(10))
+        assert res.paths == ((0, 2, 5, 7, 8), (1, 3, 4, 6, 9))
+
+
+class TestResidualNetwork:
+    def test_bounded_decision_matches_min_st_edge_cut(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            g = random_multigraph(rng, n_max=9, m_max=16)
+            verts = list(range(g.n))
+            rng.shuffle(verts)
+            a = rng.randint(1, g.n - 1)
+            b = rng.randint(1, g.n - a)
+            src, snk = verts[:a], verts[a : a + b]
+            s = rng.randint(0, 3)
+            side = ResidualNetwork(g).small_cut_side(src, snk, s)
+            res = min_st_edge_cut(g, src, snk)
+            if res.value <= s:
+                assert side == res.cut.side_a
+            else:
+                assert side is None
+
+    def test_has_cut_at_most_matches_global_min_2cut(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            g = random_multigraph(rng, n_max=9, m_max=16, connected=rng.random() < 0.7)
+            net = ResidualNetwork(g)
+            order = global_min_2cut(g).order
+            for s in range(4):
+                assert net.has_cut_at_most(s) == (order <= s)
 
 
 class TestApprox2:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kcut import cuts, decomposition
 from kcut.decomposition import (
     LeanWitness,
     TreeDecomposition,
@@ -27,6 +28,16 @@ def path(n):
 
 def clique(n):
     return MultiGraph.multi(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def tree_plus_chords(seed, n, chords):
+    """Random recursive tree plus distinct chords; connected and simple."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return MultiGraph.multi(n, sorted(edges))
 
 
 def random_connected(rng, n_max=10, extra=6):
@@ -251,3 +262,100 @@ class TestDump:
         td = build_unbreakable_decomposition(g, 1)
         text = dump_decomposition(td)
         assert parse_decomposition(text) == td
+
+
+# Dumps recorded with the earlier witness search, which ran a full max-flow
+# on a fresh network for every pair of family members.
+PINNED_DUMPS = [
+        (5, 30, 6, 1, (
+            "0 -1 0 18\n"
+            "1 0 0 1 2 3 5 6 9 10 14 19 24 27 29\n"
+            "2 1 24 25 26\n"
+            "3 0 0 4 28\n"
+            "4 0 0 8 15 21\n"
+            "5 1 5 7\n"
+            "6 1 5 11\n"
+            "7 1 5 22\n"
+            "8 1 3 13 20\n"
+            "9 1 3 16\n"
+            "10 5 7 12 23\n"
+            "11 5 7 17\n"
+        )),
+        (6, 34, 8, 1, (
+            "0 -1 0 1 2 3 4 5 6 7 8 9 10 12 13 14 15 16 18 19 21 22 23 24 26 27 31 32\n"
+            "1 0 0 11 29\n"
+            "2 0 3 17 20\n"
+            "3 0 2 25 30\n"
+            "4 0 2 28 33\n"
+        )),
+        (7, 36, 6, 2, (
+            "0 -1 0 3 4 6 12 14 15 23 31 33\n"
+            "1 0 0 1 3\n"
+            "2 0 0 3 5 11 35\n"
+            "3 2 5 8 35\n"
+            "4 0 0 7 17 19 24\n"
+            "5 0 3 32\n"
+            "6 1 0 1 2 9 34\n"
+            "7 1 1 21\n"
+            "8 1 1 28\n"
+            "9 6 1 2 13\n"
+            "10 9 2 13 20 25 26\n"
+            "11 10 2 18 26 27 29 30\n"
+            "12 6 2 16\n"
+            "13 3 8 10\n"
+            "14 11 18 22\n"
+        )),
+        (9, 50, 8, 2, (
+            "0 -1 0 1 4 5 7 10 12 21 23 26 37 38 43 47 48\n"
+            "1 0 1 2 30 44\n"
+            "2 0 1 3 25 41 49\n"
+            "3 0 5 6 33\n"
+            "4 0 1 5 8\n"
+            "5 0 5 13 20 35 40\n"
+            "6 0 5 18 29 34\n"
+            "7 0 5 22\n"
+            "8 0 1 24 31 32\n"
+            "9 0 12 17 39 42\n"
+            "10 0 12 45 46\n"
+            "11 4 8 9 11\n"
+            "12 4 1 8 14\n"
+            "13 12 1 14 15 27\n"
+            "14 13 1 16 27\n"
+            "15 12 14 19\n"
+            "16 12 14 36\n"
+            "17 13 27 28\n"
+        )),
+]
+
+
+class TestWitnessSearchWork:
+    @pytest.mark.parametrize(
+        "seed,n,chords,s,expected",
+        PINNED_DUMPS,
+        ids=[f"seed{seed}-n{n}-s{s}" for seed, n, _, s, _ in PINNED_DUMPS],
+    )
+    def test_pinned_dump(self, seed, n, chords, s, expected):
+        g = tree_plus_chords(seed, n, chords)
+        assert dump_decomposition(build_unbreakable_decomposition(g, s)) == expected
+
+    def test_no_flow_network_per_pair(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness search must not run a full max-flow")
+
+        built = []
+
+        class CountingDinic(cuts._Dinic):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        for module in (cuts, decomposition):
+            monkeypatch.setattr(module, "min_st_edge_cut", forbidden, raising=False)
+            monkeypatch.setattr(module, "global_min_2cut", forbidden, raising=False)
+        monkeypatch.setattr(cuts, "_Dinic", CountingDinic)
+        g = tree_plus_chords(1, 40, 10)
+        td, log = build_unbreakable_decomposition(g, 1, with_log=True)
+        validate_decomposition(td, g)
+        assert td.max_adhesion() <= 1
+        # One vertex-separator network per refinement, none per searched pair.
+        assert len(built) == len(log) // 2 > 0
