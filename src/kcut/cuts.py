@@ -3,10 +3,15 @@ force oracles used throughout the test and acceptance suites.
 
 All flow computations run on integer capacities.  Weighted graphs are scaled
 to a common denominator first, so every value returned here is exact.
+
+The global minimum 2-cut takes its order from one Stoer–Wagner pass and its
+side from bounded augmenting-path decisions on one residual network
+(``ResidualNetwork``); ``_Dinic`` serves the s-t cuts and vertex separators.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ from .graph import (
 )
 
 ORACLE_ENUM_LIMIT = 14
+ORACLE_CONTRACT_RUNS = 10**6
 
 
 class OracleTooLargeError(InvalidInputError):
@@ -332,14 +338,58 @@ def _unit_paths(net: _Dinic, n: int, count: int) -> list[list[int]]:
     return paths
 
 
+def _min_cut_value(g: MultiGraph) -> int:
+    """Order of a minimum 2-cut of a connected multigraph (Stoer–Wagner).
+
+    Each phase grows a maximum-adjacency order with a lazy heap; the last
+    vertex's attachment is the cut of the phase, and it is then merged into
+    the one before it.  O(n·m·log n) in all.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u][v] = adj[v][u] = w
+    alive = set(range(g.n))
+    best = sum(w for _, _, w in g.edges)
+    while len(alive) > 1:
+        start = min(alive)
+        attach = dict.fromkeys(alive, 0)
+        added: set[int] = set()
+        heap = [(0, start)]
+        prev = last = start
+        while heap:
+            neg, u = heapq.heappop(heap)
+            if u in added or -neg != attach[u]:
+                continue
+            added.add(u)
+            prev, last = last, u
+            for v, w in adj[u].items():
+                if v not in added:
+                    attach[v] += w
+                    heapq.heappush(heap, (-attach[v], v))
+        assert len(added) == len(alive), "Stoer-Wagner expects a connected graph"
+        best = min(best, attach[last])
+        merged, adj[last] = adj[last], {}
+        for v, w in merged.items():
+            del adj[v][last]
+            if v != prev:
+                adj[prev][v] = adj[v][prev] = adj[prev].get(v, 0) + w
+        alive.remove(last)
+    return best
+
+
 def global_min_2cut(g: MultiGraph) -> EdgeCut:
     """A minimum-order edge cut of ``g``.
 
     On a connected graph this is the nontrivial global minimum 2-cut (order
-    at least 1).  On a disconnected graph the zero cut separating the
-    component of the smallest vertex is returned.  Ties between equal-order
-    candidates break toward the lexicographically smallest side containing
-    vertex 0.
+    at least 1): among the minimal minimum 0-t cut sides over all sinks t,
+    the lexicographically smallest sorted side containing vertex 0.  On a
+    disconnected graph the zero cut separating the component of the
+    smallest vertex is returned.
+
+    One Stoer–Wagner pass gives the order λ*.  Then sinks t = 1..n-1 are
+    decided in order on one residual network, each with at most λ*+1
+    augmenting paths, and sinks already settled by a found side are
+    skipped: one decision per unresolved sink.
     """
     _require_multi(g)
     if g.n < 2:
@@ -348,20 +398,29 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     if len(comps) > 1:
         side = comps.parts[0]
         return EdgeCut.of(g, side)
-    best: tuple[int, tuple[int, ...]] | None = None
-    inf = sum(w for _, _, w in g.edges) + 1
+    order = _min_cut_value(g)
+    net = ResidualNetwork(g)
+    # A sink t outside a found side S (found for sink t_S) adds nothing new:
+    # S is a 0-t cut of order λ*, so λ(0,t) = λ* and S is a minimum 0-t
+    # cut, hence the minimal side S_t ⊆ S.  Then t_S ∉ S_t, so S_t is a
+    # minimum 0-t_S cut and S ⊆ S_t.  So S_t = S, with the same key.  Only
+    # sinks inside every side found so far are decided.
+    open_sinks = set(range(1, g.n))
+    best: tuple[int, ...] | None = None
     for t in range(1, g.n):
-        net = _Dinic(g.n)
-        for u, v, w in g.edges:
-            net.add_arc(u, v, w, w)
-        value = net.max_flow(0, t)
-        reach = net.residual_reachable(0)
-        assert value < inf
-        key = (value, tuple(sorted(reach)))
+        if t not in open_sinks:
+            continue
+        side = net.small_cut_side((0,), (t,), order)
+        if side is None:
+            continue
+        open_sinks &= side
+        key = tuple(sorted(side))
         if best is None or key < best:
             best = key
-    assert best is not None
-    return EdgeCut.of(g, best[1])
+    assert best is not None, "some sink lies across a minimum cut"
+    cut = EdgeCut.of(g, best)
+    assert cut.order == order
+    return cut
 
 
 def min_nontrivial_2cut(g: MultiGraph) -> EdgeCut | None:
@@ -370,6 +429,12 @@ def min_nontrivial_2cut(g: MultiGraph) -> EdgeCut | None:
     Works on disconnected graphs: the cheapest way to get one crossing edge
     splits a single component minimally and spreads the rest around it.
     """
+    return _min_nontrivial_2cut(g, {})
+
+
+def _min_nontrivial_2cut(g: MultiGraph, memo: dict[MultiGraph, EdgeCut]) -> EdgeCut | None:
+    """``min_nontrivial_2cut`` with each component subgraph's minimum cut
+    looked up first in ``memo``, a dict owned by the caller."""
     _require_multi(g)
     if not g.edges:
         return None
@@ -379,9 +444,9 @@ def min_nontrivial_2cut(g: MultiGraph) -> EdgeCut | None:
         if len(part) < 2:
             continue
         sub, labels = g.induced_subgraph(part)
-        if not sub.edges:
-            continue
-        local = global_min_2cut(sub)
+        local = memo.get(sub)
+        if local is None:
+            local = memo[sub] = global_min_2cut(sub)
         side = frozenset(labels[v] for v in local.side_a)
         cand = EdgeCut.of(g, side)
         assert cand.order == local.order
@@ -400,6 +465,12 @@ def approx2_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
     until k parts exist; with at least k components the split is free.  The
     result is within a factor 2 of optimal.
     """
+    return _approx2_kcut(g, k, {})
+
+
+def _approx2_kcut(g: MultiGraph, k: int, memo: dict[MultiGraph, EdgeCut]) -> tuple[Partition, Num]:
+    """``approx2_kcut`` with the minimum cuts of component subgraphs kept in
+    ``memo``, so parts left whole by a round are not cut again."""
     if not 1 <= k <= g.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
     h, scale = to_integer_multigraph(g)
@@ -415,7 +486,7 @@ def approx2_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
             if len(part) < 2:
                 continue
             sub, labels = h.induced_subgraph(part)
-            cut = min_nontrivial_2cut(sub)
+            cut = _min_nontrivial_2cut(sub, memo)
             if cut is None:
                 cut = EdgeCut.of(sub, frozenset([0]))
             side = frozenset(labels[v] for v in cut.side_a)
@@ -470,7 +541,10 @@ def oracle_exact_kcut(
 
     ``enumerate`` exhausts all set partitions into exactly k nonempty parts
     and refuses instances with more than 14 vertices.  ``contract`` runs
-    repeated random contractions and keeps the best of ``runs`` tries.
+    repeated random contractions and keeps the best of ``runs`` tries.  By
+    default it runs ``ceil(n^(2k-2) ln n)`` of them, the count behind the
+    whp guarantee, and refuses instances where that exceeds 10^6; an
+    explicit ``runs`` is always honoured but carries no guarantee.
     """
     if not 1 <= k <= g.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
@@ -500,7 +574,12 @@ def oracle_exact_kcut(
         partition = Partition.from_parts(groups.values())
     elif method == "contract":
         if runs is None:
-            runs = min(10**6, max(1, math.ceil(g.n ** (2 * (k - 1)) * math.log(max(g.n, 2)))))
+            runs = max(1, math.ceil(g.n ** (2 * (k - 1)) * math.log(max(g.n, 2))))
+            if runs > ORACLE_CONTRACT_RUNS:
+                raise OracleTooLargeError(
+                    f"contraction oracle needs {runs} runs for n={g.n}, k={k}, over the "
+                    f"{ORACLE_CONTRACT_RUNS} limit; pass runs= to choose a count without the guarantee"
+                )
         rng = random.Random(seed)
         best_partition: Partition | None = None
         best_val = None

@@ -13,13 +13,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import approx2_kcut, min_nontrivial_2cut
+from .cuts import _approx2_kcut, _min_cut_value, _min_nontrivial_2cut
 from .graph import (
     MULTI,
+    EdgeCut,
     InvalidInputError,
     MultiGraph,
     Num,
     cc,
+    connected_components,
 )
 
 
@@ -71,13 +73,17 @@ def strip_cheap_2cuts(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
     if cc(g) >= k:
         raise InvalidInputError("graph already has at least k components")
 
-    _, w_a = approx2_kcut(g, k)
+    # Minimum cuts of component subgraphs, shared by the estimate and every
+    # round: the first round meets the whole graph again, later rounds the
+    # components the estimate already cut.
+    memo: dict[MultiGraph, EdgeCut] = {}
+    _, w_a = _approx2_kcut(g, k, memo)
     threshold = epsilon * Fraction(w_a) / (k - 1)
     current = g
     removed = 0
     iterations = 0
     while cc(current) < k:
-        cut = min_nontrivial_2cut(current)
+        cut = _min_nontrivial_2cut(current, memo)
         if cut is None or cut.order > threshold:
             break
         crossing = set()
@@ -105,15 +111,22 @@ def strip_cheap_2cuts(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
 def sampling_rate(g1: MultiGraph, epsilon: Num) -> tuple[Fraction, int]:
     """The keep-probability ``min(1, 100 ln n / (eps^2 * mincut))``.
 
-    ``mincut`` is the nontrivial minimum 2-cut of ``g1``.  Logarithms are
-    natural; the float value is converted exactly to a Fraction so that all
-    later scaling stays deterministic and exact.
+    ``mincut`` is the order of the nontrivial minimum 2-cut of ``g1``: the
+    least Stoer–Wagner value over the components that have edges.  Only the
+    order is needed, so no cut side is computed.  An edgeless graph gives
+    rate 1 and order 0.  Logarithms are natural; the float value is
+    converted exactly to a Fraction so that all later scaling stays
+    deterministic and exact.
     """
     epsilon = Fraction(epsilon)
-    cut = min_nontrivial_2cut(g1)
-    if cut is None:
+    orders = [
+        _min_cut_value(g1.induced_subgraph(part)[0])
+        for part in connected_components(g1).parts
+        if len(part) > 1
+    ]
+    if not orders:
         return Fraction(1), 0
-    order = int(cut.order)
+    order = min(orders)
     raw = Fraction(100 * math.log(g1.n)) / (epsilon * epsilon * order)
     return min(Fraction(1), raw), order
 

@@ -6,6 +6,8 @@ import pytest
 from kcut.cuts import (
     OracleTooLargeError,
     ResidualNetwork,
+    _Dinic,
+    _min_cut_value,
     approx2_kcut,
     global_min_2cut,
     min_nontrivial_2cut,
@@ -13,7 +15,7 @@ from kcut.cuts import (
     min_vertex_separator,
     oracle_exact_kcut,
 )
-from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, Partition, cut_weight
+from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, Partition, connected_components, cut_weight
 
 
 def path(n):
@@ -162,6 +164,92 @@ class TestGlobalMin2Cut:
             cut = global_min_2cut(g)
             assert cut.order == brute_min_bipartition(g)
             assert cut.order >= 1
+
+
+def reference_global_min_2cut(g):
+    """The n-1 fresh max-flow loop global_min_2cut used to run: the least
+    (order, sorted minimal 0-t side) over all sinks t."""
+    comps = connected_components(g)
+    if len(comps) > 1:
+        return EdgeCut.of(g, comps.parts[0])
+    best = None
+    for t in range(1, g.n):
+        net = _Dinic(g.n)
+        for u, v, w in g.edges:
+            net.add_arc(u, v, w, w)
+        value = net.max_flow(0, t)
+        key = (value, tuple(sorted(net.residual_reachable(0))))
+        if best is None or key < best:
+            best = key
+    return EdgeCut.of(g, best[1])
+
+
+def complete(n):
+    return MultiGraph.multi(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def clustered_circulant(rng, sizes, mult_max):
+    """Circulants C_q(1, 2), q >= 3, joined in a ring by single light records."""
+    edges, base = [], 0
+    for q in sizes:
+        for i in range(q):
+            for step in (1, 2):
+                edges.append((base + i, base + (i + step) % q, rng.randint(1, mult_max)))
+        base += q
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    for i, a in enumerate(starts):
+        edges.append((a + rng.randrange(sizes[i]), starts[(i + 1) % len(starts)], rng.randint(1, 2)))
+    return MultiGraph.multi(base, [(min(u, v), max(u, v), w) for u, v, w in edges])
+
+
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return MultiGraph.multi(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+def differential_corpus():
+    """At least 1000 seeded multigraphs, tie-heavy ones first."""
+    rng = random.Random(2024)
+    for _ in range(600):
+        yield random_multigraph(rng, n_max=12, m_max=20, mult_max=1, connected=rng.random() < 0.8)
+    for _ in range(200):
+        yield random_multigraph(rng, n_max=16, m_max=30, mult_max=3, connected=rng.random() < 0.8)
+    for n in range(3, 41):
+        yield cycle(n)
+        yield relabeled(rng, cycle(n))
+    for n in range(2, 15):
+        yield complete(n)
+    for rows in range(1, 7):
+        for cols in range(2, 7):
+            yield grid(rows, cols)
+            yield relabeled(rng, grid(rows, cols))
+    yield barbell()
+    for _ in range(20):
+        yield relabeled(rng, barbell())
+    for _ in range(40):
+        sizes = [rng.randint(3, 10) for _ in range(rng.randint(2, 4))]
+        yield relabeled(rng, clustered_circulant(rng, sizes, rng.choice([1, 3])))
+    for _ in range(60):  # disconnected: two graphs side by side
+        a = random_multigraph(rng, n_max=8, m_max=12, connected=True)
+        b = random_multigraph(rng, n_max=8, m_max=12, connected=rng.random() < 0.5)
+        shifted = [(u + a.n, v + a.n, w) for u, v, w in b.edges]
+        yield relabeled(rng, MultiGraph.multi(a.n + b.n, list(a.edges) + shifted))
+
+
+class TestGlobalMin2CutDifferential:
+    def test_matches_reference_flow_loop(self):
+        count = 0
+        for g in differential_corpus():
+            assert global_min_2cut(g) == reference_global_min_2cut(g), g
+            count += 1
+        assert count >= 1000
+
+    def test_min_cut_value_matches_enumeration(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_multigraph(rng, n_max=8, m_max=14, mult_max=rng.choice([1, 3]), connected=True)
+            assert _min_cut_value(g) == brute_min_bipartition(g)
 
 
 class TestMinNontrivial2Cut:
@@ -346,6 +434,15 @@ class TestOracle:
         g = MultiGraph.multi(15, [(i, i + 1) for i in range(14)])
         with pytest.raises(OracleTooLargeError):
             oracle_exact_kcut(g, 2)
+
+    def test_contraction_refuses_whp_count_over_limit(self):
+        # 30^4 ln 30 is about 2.8 million runs; refused before any run starts.
+        with pytest.raises(OracleTooLargeError, match="runs="):
+            oracle_exact_kcut(cycle(30), 3, method="contract")
+
+    def test_contraction_explicit_runs_honoured(self):
+        _, val = oracle_exact_kcut(cycle(30), 3, method="contract", seed=1, runs=50)
+        assert val >= 3
 
     def test_contraction_agrees_on_small(self):
         rng = random.Random(2)

@@ -5,7 +5,9 @@ scheme run where edge sampling genuinely fires."""
 import random
 from fractions import Fraction
 
-from kcut.cuts import oracle_exact_kcut
+import pytest
+
+from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import build_unbreakable_decomposition
 from kcut.dp import solve_exact
 from kcut.graph import MultiGraph, cut_weight
@@ -90,6 +92,52 @@ class TestDeepDecompositions:
                 edges.append((u, v))
             g = MultiGraph.multi(n, [(min(u, v), max(u, v)) for u, v in edges])
             sweep_against_oracle(g, rng.choice([2, 3]))
+
+
+def weighted_tree(seed, n):
+    """A random recursive tree with multiplicities 3..5 except one edge of
+    multiplicity 2, so the minimum 2-cut is that lightest edge."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v, rng.randint(3, 5)) for v in range(1, n)]
+    i = rng.randrange(n - 1)
+    edges[i] = edges[i][:2] + (2,)
+    return MultiGraph.multi(n, edges), 2
+
+
+def clique_ring(count, size):
+    """Cliques K_size joined in a ring by single edges: the minimum 2-cut
+    takes two ring edges."""
+    edges = []
+    for b in range(count):
+        base = b * size
+        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+        edges.append((base + size - 1, (b + 1) % count * size))
+    return MultiGraph.multi(count * size, edges), 2
+
+
+class TestK2PastOracle:
+    """k = 2 on 20-40 vertices, beyond the enumeration oracle: the optimum is
+    known from the construction and must equal global_min_2cut's order."""
+
+    CASES = [
+        ("cycle20", cycle(20), 2),
+        ("cycle40", cycle(40), 2),
+        ("tree30", *weighted_tree(1, 30)),
+        ("tree40", *weighted_tree(2, 40)),
+        ("ring5x4", *clique_ring(5, 4)),
+        ("ring6x6", *clique_ring(6, 6)),
+        ("ring8x5", *clique_ring(8, 5)),
+    ]
+
+    @pytest.mark.parametrize("name,g,lam", CASES, ids=[c[0] for c in CASES])
+    def test_exact_decision_and_scheme(self, name, g, lam):
+        assert global_min_2cut(g).order == lam
+        assert not solve_exact(g, 2, lam - 1).feasible
+        res = solve_exact(g, 2, lam, mode="construct")
+        assert res.feasible and res.value == lam == cut_weight(g, res.partition)
+        approx = scheme_solve(g, 2, Fraction(1, 2))
+        assert lam <= approx.value <= Fraction(3, 2) * lam
+        assert approx.value == cut_weight(g, approx.partition)
 
 
 class TestSampledScheme:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from kcut.cuts import oracle_exact_kcut
+from kcut import cuts
+from kcut.cuts import min_nontrivial_2cut, oracle_exact_kcut
 from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, cc, cut_weight
-from kcut.sparsify import sample_edges, strip_cheap_2cuts
+from kcut.sparsify import sample_edges, sampling_rate, strip_cheap_2cuts
 
 
 def two_triangles_bridge():
@@ -80,6 +81,24 @@ class TestStrip:
                 if order > 0:
                     assert order > res.threshold
 
+    def test_each_component_graph_cut_once_per_call(self, monkeypatch):
+        # The estimate and the stripping rounds share one memo, so no
+        # component subgraph reaches global_min_2cut twice in one call.
+        original = cuts.global_min_2cut
+        seen = []
+
+        def counting(g):
+            seen.append(g)
+            return original(g)
+
+        monkeypatch.setattr(cuts, "global_min_2cut", counting)
+        rng = random.Random(13)
+        for _ in range(40):
+            g = random_connected(rng, n_max=10, extra=8)
+            seen.clear()
+            strip_cheap_2cuts(g, rng.choice([2, 3]), Fraction(1))
+            assert seen and len(seen) == len(set(seen))
+
 
 class TestSample:
     def test_capped_rate_returns_input(self):
@@ -88,6 +107,19 @@ class TestSample:
         # 100 ln 6 far exceeds eps^2 * mincut here, so p caps at 1.
         assert res.rate == 1 and res.inverse_rate == 1
         assert res.graph == g
+
+    def test_rate_order_is_min_nontrivial_2cut(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            g = random_connected(rng, n_max=9)
+            if rng.random() < 0.4:  # add a second component, maybe edgeless
+                extra = rng.randint(1, 4)
+                edges = list(g.edges) + [(g.n + i, g.n + i + 1, rng.randint(1, 3)) for i in range(extra - 1)]
+                g = MultiGraph.multi(g.n + extra, edges)
+            cut = min_nontrivial_2cut(g)
+            _, order = sampling_rate(g, Fraction(1, 2))
+            assert order == cut.order
+        assert sampling_rate(MultiGraph.multi(3, []), Fraction(1, 2)) == (Fraction(1), 0)
 
     def test_epsilon_guard(self):
         g = two_triangles_bridge()
