@@ -51,7 +51,6 @@ from .graph import (
 )
 from .scheme import SchemeResult, SchemeStats, combine_components, solve
 from .sparsify import SampleResult, StripResult, sample_edges, strip_cheap_2cuts
-from .splitters import SplitterFamily, SubsetFamily, build_splitter, build_subset_family
 from .treepack import TreeFamily, crossings, enumerate_spanning_trees, pack_trees
 
 __all__ = [
@@ -70,14 +69,10 @@ __all__ = [
     "SampleResult",
     "SchemeResult",
     "SchemeStats",
-    "SplitterFamily",
     "StripResult",
-    "SubsetFamily",
     "TreeDecomposition",
     "TreeFamily",
     "approx2_kcut",
-    "build_splitter",
-    "build_subset_family",
     "build_unbreakable_decomposition",
     "combine_components",
     "connected_components",

@@ -27,6 +27,8 @@ from .graph import (
     Partition,
     connected_components,
     cut_weight,
+    uf_find,
+    uf_union,
 )
 
 ORACLE_ENUM_LIMIT = 14
@@ -597,25 +599,19 @@ def oracle_exact_kcut(
 
 def _contract_once(g: MultiGraph, k: int, rng: random.Random) -> Partition:
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     alive = g.n
     edges = list(g.edges)
     while alive > k:
         weights = []
         live = []
         for u, v, w in edges:
-            if find(u) != find(v):
+            if uf_find(parent, u) != uf_find(parent, v):
                 live.append((u, v))
                 weights.append(w)
         if not live:
-            # Disconnected remainder: merge two smallest roots.
-            roots = sorted({find(v) for v in range(g.n)})
+            # Disconnected remainder: merge the two sets whose least
+            # members, which are their roots, are smallest.
+            roots = sorted({uf_find(parent, v) for v in range(g.n)})
             parent[roots[1]] = roots[0]
             alive -= 1
             continue
@@ -624,10 +620,10 @@ def _contract_once(g: MultiGraph, k: int, rng: random.Random) -> Partition:
         for (u, v), w in zip(live, weights):
             acc += w
             if pick < acc:
-                parent[find(max(u, v))] = find(min(u, v))
+                uf_union(parent, u, v)
                 alive -= 1
                 break
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(uf_find(parent, v), []).append(v)
     return Partition.from_parts(groups.values())

@@ -20,6 +20,8 @@ from .graph import (
     InvalidInputError,
     MultiGraph,
     is_connected,
+    uf_find,
+    uf_union,
 )
 
 
@@ -149,19 +151,12 @@ def is_bag_unbreakable(g: MultiGraph, bag: Iterable[int], q: int, s: int) -> boo
             if weight > s:
                 continue
             parent = list(range(g.n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             for i, (u, v, _) in enumerate(g.edges):
                 if i not in cut_edges:
-                    parent[find(u)] = find(v)
+                    uf_union(parent, u, v)
             comps: dict[int, set[int]] = {}
             for v in range(g.n):
-                comps.setdefault(find(v), set()).add(v)
+                comps.setdefault(uf_find(parent, v), set()).add(v)
             if len(comps) < 2:
                 continue
             groups = sorted(comps.values(), key=min)

@@ -12,6 +12,11 @@ guess's component-pair weight matrix and keeps only per-key minima.
 Every finite table entry corresponds to an actually constructible partition;
 traceback reconstruction re-verifies this by recomputing weights.
 
+Each call to ``solve_exact`` or ``exact_values`` builds its own
+decomposition and ``_Engine`` and drops both when it returns; the only
+module-level state is the pure memo tables of ``_label_vectors`` and
+``_scoring``.
+
 Internally partitions are tuples of integer bitmasks sorted ascending; the
 empty-ground partition is the empty tuple.
 """
@@ -90,14 +95,9 @@ def unmask_partition(parts: MaskPartition) -> Partition:
     return Partition.from_parts([_bits(p) for p in parts])
 
 
-_LABELS_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _label_vectors(c: int) -> tuple[tuple[int, ...], ...]:
     """Restricted-growth strings of length c: every grouping of c items once."""
-    got = _LABELS_CACHE.get(c)
-    if got is not None:
-        return got
     out: list[tuple[int, ...]] = []
     vec = [0] * c
 
@@ -113,9 +113,7 @@ def _label_vectors(c: int) -> tuple[tuple[int, ...], ...]:
         rec(1, 1)
     else:
         out.append(())
-    res = tuple(out)
-    _LABELS_CACHE[c] = res
-    return res
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +372,7 @@ class _Level:
         self.best: dict[tuple, tuple[int, _Coarse]] = {}
 
     def add(self, co: _Coarse) -> None:
-        # No weight filtering here: level structures are budget-independent
-        # and shared across budgets; evaluation applies the clamp.
+        # No weight filtering here: evaluation applies the budget clamp.
         self.coarsenings.append(co)
         if self.childless:
             key = (co.at_proj if self.check_at else None, co.nparts)
@@ -391,7 +388,7 @@ class _Level:
 
 class _Skeleton:
     """Levels of one knapsack run.  ``static`` skeletons touch no child
-    tables, so their evaluations can be memoized across trees."""
+    tables, so their evaluations are memoized across the trees of one call."""
 
     __slots__ = ("levels", "center", "static", "memo")
 
@@ -420,83 +417,28 @@ class _NodeCtx:
     small: bool
 
 
-_GRAPH_MEMOS: dict[MultiGraph, tuple[dict, dict]] = {}
-_DECOMP_CACHE: dict[tuple[MultiGraph, int], TreeDecomposition] = {}
-_ENGINE_CACHE: dict[tuple, "_Engine"] = {}
-
-
-def _shared_memos(g: MultiGraph) -> tuple[dict, dict]:
-    got = _GRAPH_MEMOS.get(g)
-    if got is None:
-        if len(_GRAPH_MEMOS) > 32:
-            _GRAPH_MEMOS.clear()
-        got = ({}, {})
-        _GRAPH_MEMOS[g] = got
-    return got
-
-
-def _cached_decomposition(g: MultiGraph, s: int) -> TreeDecomposition:
-    key = (g, s)
-    got = _DECOMP_CACHE.get(key)
-    if got is None:
-        if len(_DECOMP_CACHE) > 128:
-            _DECOMP_CACHE.clear()
-        got = build_unbreakable_decomposition(g, s)
-        _DECOMP_CACHE[key] = got
-    return got
-
-
-def _cached_engine(g: MultiGraph, td: TreeDecomposition, k: int, s: int) -> "_Engine":
-    """Engines hold only budget-independent structure, so one instance can
-    serve a whole budget sweep as long as the decomposition and the
-    small-bag branch pattern agree."""
-    smalls = tuple(len(b) <= tau_big(k, s) for b in td.bags)
-    key = (g, td, k, smalls)
-    got = _ENGINE_CACHE.get(key)
-    if got is None:
-        if len(_ENGINE_CACHE) > 8:
-            _ENGINE_CACHE.clear()
-        got = _Engine(g, td, k, s)
-        _ENGINE_CACHE[key] = got
-    return got
-
-
 class _Engine:
-    """Budget-independent solver state shared across family trees and
-    across budget sweeps: node contexts, coarsening candidates, crossing
-    weights, per-guess grouping minima of childless small bags, and
-    per-tree skeletons.
-
-    The crossing-weight and grouping memos do not depend on k or the
-    decomposition either, so they are shared per graph."""
+    """The solver state of one call, shared by the trees of its family:
+    node contexts, coarsening candidates, crossing weights, nice
+    decompositions and their skeletons, and per-guess grouping minima of
+    childless small bags.  Built for one graph, decomposition, k and budget
+    s, and dropped when the call returns."""
 
     def __init__(self, g: MultiGraph, td: TreeDecomposition, k: int, s: int):
         self.g = g
         self.td = td
         self.k = k
+        self.s = s
         self.ctxs: dict[int, _NodeCtx] = {}
-        self._wmemo, self._grouping_cache = _shared_memos(g)
+        self._wmemo: dict[MaskPartition, int] = {}
+        self._grouping_cache: dict[tuple[int, ...], list[MaskPartition]] = {}
         self._coarse_cache: dict[tuple, dict[MaskPartition, _Coarse]] = {}
-        self._tree_cache: dict[tuple, tuple[dict, dict]] = {}
         self._cand_cache: dict[tuple, list[NiceDecomposition]] = {}
         self._skel_cache: dict[tuple, _Skeleton | None] = {}
         self._minima_cache: dict[tuple, tuple] = {}
         self._small = tuple(len(b) <= tau_big(k, s) for b in td.bags)
         for t in range(len(td)):
             self._build_ctx(t)
-
-    def tree_data(self, tree: tuple[tuple[int, int], ...]) -> tuple[dict, dict]:
-        """Per-tree skeletons and adhesion families, cached by edge pairs."""
-        got = self._tree_cache.get(tree)
-        if got is None:
-            skels = {t: self._node_skeletons(t, tree) for t in range(len(self.td))}
-            fams = {
-                t: _feasible_masks(project_tree(tree, self.td.adhesion(t)), self.k)
-                for t in range(len(self.td))
-            }
-            got = (skels, fams)
-            self._tree_cache[tree] = got
-        return got
 
     def groupings_of(self, pieces: tuple[int, ...]) -> list[MaskPartition]:
         got = self._grouping_cache.get(pieces)
@@ -603,9 +545,8 @@ class _Engine:
         """Nice decompositions for an oversized bag.
 
         All component subsets of size at most 2k-1 form a covering family
-        for any avoid budget, so the quadratic-size hash family from the
-        splitter module is not needed at this scale.  Results depend only
-        on the component partition and are memoized on it.
+        for any avoid budget.  Results depend only on the component
+        partition and are memoized on it.
         """
         cache_key = (ctx.node, tuple(comps))
         cached = self._cand_cache.get(cache_key)
@@ -817,18 +758,23 @@ class _Engine:
 
 
 class TreeCutDP:
-    """One bottom-up pass for a fixed spanning tree over a fixed
-    decomposition at a fixed cut budget.
+    """One bottom-up pass for a fixed spanning tree over the engine's
+    decomposition at the engine's cut budget.
 
-    Structure (skeletons, coarsenings, adhesion families) comes from the
-    shared engine; this object owns only the budget-clamped value tables."""
+    This object holds the tree's per-node skeletons and adhesion families
+    and the budget-clamped value tables; coarsenings, skeletons and their
+    memos come from the engine and serve the call's other trees too."""
 
-    def __init__(self, engine: _Engine, tree: Sequence[tuple[int, int]], s: int):
+    def __init__(self, engine: _Engine, tree: Sequence[tuple[int, int]]):
         self.e = engine
-        self.s = s
         self.tree = tuple(tree)
         self.tables: dict[int, dict[tuple[MaskPartition, int], tuple[int, object]]] = {}
-        self.skels, self._families = engine.tree_data(self.tree)
+        nodes = range(len(engine.td))
+        self.skels = {t: engine._node_skeletons(t, self.tree) for t in nodes}
+        self._families = {
+            t: _feasible_masks(project_tree(self.tree, engine.td.adhesion(t)), engine.k)
+            for t in nodes
+        }
         self.states = 0
 
     def adhesion_family(self, t: int) -> frozenset[MaskPartition]:
@@ -838,7 +784,7 @@ class TreeCutDP:
 
     def _eval(self, skel: _Skeleton, pa: MaskPartition, i: int):
         if skel.static:
-            key = (pa, i, self.s)
+            key = (pa, i)
             if key in skel.memo:
                 return skel.memo[key]
             got = self._eval_inner(skel, pa, i)
@@ -847,7 +793,7 @@ class TreeCutDP:
         return self._eval_inner(skel, pa, i)
 
     def _eval_inner(self, skel: _Skeleton, pa: MaskPartition, i: int):
-        k, s = self.e.k, self.s
+        k, s = self.e.k, self.e.s
         rows = []
         for lvl in skel.levels:
             row: dict[int, tuple[int, object]] = {}
@@ -1035,11 +981,11 @@ def solve_exact(
     if mode not in ("decide", "construct"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     fam = _tree_family(g, k, trees)
-    td = _cached_decomposition(g, s)
-    engine = _cached_engine(g, td, k, s)
+    td = build_unbreakable_decomposition(g, s)
+    engine = _Engine(g, td, k, s)
     states = 0
     for ti in range(len(fam)):
-        dp = TreeCutDP(engine, fam.tree_edges(ti), s)
+        dp = TreeCutDP(engine, fam.tree_edges(ti))
         root = dp.run()
         states += dp.states
         ent = root.get(((), k))
@@ -1069,12 +1015,12 @@ def exact_values(
     _check_exact_inputs(g, max(1, min(kmax, g.n)), s_cap)
     kmax = min(kmax, g.n)
     fam = _tree_family(g, kmax, trees)
-    td = _cached_decomposition(g, s_cap)
-    engine = _cached_engine(g, td, kmax, s_cap)
+    td = build_unbreakable_decomposition(g, s_cap)
+    engine = _Engine(g, td, kmax, s_cap)
     best: list[tuple[int | None, Partition | None]] = [(None, None)] * (kmax + 1)
     states = 0
     for ti in range(len(fam)):
-        dp = TreeCutDP(engine, fam.tree_edges(ti), s_cap)
+        dp = TreeCutDP(engine, fam.tree_edges(ti))
         root = dp.run()
         states += dp.states
         for i in range(1, kmax + 1):
@@ -1150,7 +1096,7 @@ def nice_decompositions(
     _dp: TreeCutDP | None = None,
 ) -> list[NiceDecomposition]:
     """Candidate nice decompositions for one guess of crossed edges."""
-    dp = _dp if _dp is not None else TreeCutDP(_Engine(g, td, k, s), tree, s)
+    dp = _dp if _dp is not None else TreeCutDP(_Engine(g, td, k, s), tree)
     ctx = dp.e.ctxs[t]
     full, below = _rooted_sides(project_tree(tree, ctx.bag))
     comps = _cut_components(full, below, set(cprime))
@@ -1187,7 +1133,7 @@ def knapsack_value(
 
 
 def _prepared_dp(g, td, tree, k, s, child_tables) -> TreeCutDP:
-    dp = TreeCutDP(_Engine(g, td, k, s), tree, s)
+    dp = TreeCutDP(_Engine(g, td, k, s), tree)
     for c, tab in child_tables.items():
         converted: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
         for (p, i), v in tab.items():

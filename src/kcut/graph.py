@@ -271,23 +271,37 @@ class EdgeCut:
         return [(u, v, w) for u, v, w in g.edges if (u in self.side_a) != (v in self.side_a)]
 
 
+def uf_find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest over ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def uf_union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the sets of a and b; False if they were one set already.
+
+    The larger root hangs below the smaller, so every root stays the least
+    member of its set."""
+    ra, rb = uf_find(parent, a), uf_find(parent, b)
+    if ra == rb:
+        return False
+    if ra < rb:
+        parent[rb] = ra
+    else:
+        parent[ra] = rb
+    return True
+
+
 def connected_components(g: MultiGraph) -> Partition:
     """The partition of V(G) into maximal connected vertex sets."""
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v, _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        uf_union(parent, u, v)
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(uf_find(parent, v), []).append(v)
     if g.n == 0:
         return Partition.empty()
     return Partition.from_parts(groups.values())
@@ -347,22 +361,13 @@ def round_to_multigraph(g: MultiGraph, epsilon: Num, lower_bound: Num) -> RoundR
 
     threshold = 2 * lower_bound
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v, w in g.edges:
         if w > threshold:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+            uf_union(parent, u, v)
 
-    roots = sorted({find(v) for v in range(g.n)})
+    roots = sorted({uf_find(parent, v) for v in range(g.n)})
     new_id = {r: i for i, r in enumerate(roots)}
-    vmap = tuple(new_id[find(v)] for v in range(g.n))
+    vmap = tuple(new_id[uf_find(parent, v)] for v in range(g.n))
 
     if g.m == 0:
         return RoundResult(MultiGraph(len(roots), (), MULTI), Fraction(1), vmap)

@@ -201,27 +201,10 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
         )
         return SchemeResult(partition, value, stats)
 
-    tables: list[dict[int, int]] = []
-    witnesses: list[dict[int, Partition]] = []
-    labels_per_comp: list[list[int]] = []
     dp_stats: dict = {}
-    for part in comps2.parts:
-        sub, labels = g2.induced_subgraph(part)
-        kmax = min(k, sub.n)
-        with _stage("exact"):
-            vec = exact_values(sub, kmax, min(cap, _total(sub)), construct=True, stats_out=dp_stats)
-        tab: dict[int, int] = {}
-        wit: dict[int, Partition] = {}
-        for j in range(1, kmax + 1):
-            if vec[j][0] is not None:
-                tab[j] = vec[j][0]
-                wit[j] = vec[j][1]
-        tables.append(tab)
-        witnesses.append(wit)
-        labels_per_comp.append(labels)
-
-    combo = combine_components(tables, k)
-    if combo is None:
+    with _stage("exact"):
+        swept = _exact_sweep(g2, comps2, k, cap, dp_stats)
+    if swept is None:
         # Sampling failure: no feasible distribution within the sweep cap.
         partition, value = approx2_kcut(gw, k)
         stats = SchemeStats(
@@ -235,15 +218,8 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
             fallback=True,
         )
         return SchemeResult(partition, value, stats)
-    picks, total = combo
-
-    parts: list[frozenset[int]] = []
-    for tab_i, j in enumerate(picks):
-        wit = witnesses[tab_i][j]
-        labels = labels_per_comp[tab_i]
-        for part in wit.parts:
-            parts.append(frozenset(labels[v] for v in part))
-    partition = rounded.lift_partition(Partition.from_parts(parts))
+    sampled, total = swept
+    partition = rounded.lift_partition(sampled)
     assert len(partition) == k
     value = cut_weight(gw, partition)
     estimate = (Fraction(total) * inv_rate + strip.removed_weight) * rounded.scale
@@ -268,6 +244,32 @@ def _total(g: MultiGraph) -> int:
     return sum(w for _, _, w in g.edges)
 
 
+def _exact_sweep(
+    h: MultiGraph, comps: Partition, k: int, cap: int, stats_out: dict | None = None
+) -> tuple[Partition, int] | None:
+    """Exact minimum cuts of every component of h for 1..k parts, with the
+    budget clamped at ``cap``, then the cheapest distribution of k parts
+    over the components.  Returns that partition in h's labels with its
+    total, or None if none fits the cap."""
+    tables: list[dict[int, int]] = []
+    witnesses: list[tuple[list[int], list]] = []
+    for part in comps.parts:
+        sub, labels = h.induced_subgraph(part)
+        vec = exact_values(sub, min(k, sub.n), min(cap, _total(sub)), construct=True, stats_out=stats_out)
+        tables.append({j: v for j, (v, _) in enumerate(vec) if v is not None})
+        witnesses.append((labels, vec))
+    combo = combine_components(tables, k)
+    if combo is None:
+        return None
+    picks, total = combo
+    parts = [
+        frozenset(labels[v] for v in part)
+        for (labels, vec), j in zip(witnesses, picks)
+        for part in vec[j][1].parts
+    ]
+    return Partition.from_parts(parts), total
+
+
 def _solve_exactly(gw: MultiGraph, k: int, epsilon: Fraction) -> SchemeResult:
     """Exact path for epsilon below 1/n."""
     if gw.n <= ORACLE_ENUM_LIMIT:
@@ -276,29 +278,9 @@ def _solve_exactly(gw: MultiGraph, k: int, epsilon: Fraction) -> SchemeResult:
     h, scale = to_integer_multigraph(gw)
     # cc < k here, but the graph may still be disconnected; solve per
     # component and recombine through the knapsack.
-    comps = connected_components(h)
-    tables = []
-    witnesses = []
-    labels_per_comp = []
-    for part in comps.parts:
-        sub, labels = h.induced_subgraph(part)
-        kmax = min(k, sub.n)
-        vec = exact_values(sub, kmax, _total(sub), construct=True)
-        tab = {j: vec[j][0] for j in range(1, kmax + 1) if vec[j][0] is not None}
-        wit = {j: vec[j][1] for j in range(1, kmax + 1) if vec[j][0] is not None}
-        tables.append(tab)
-        witnesses.append(wit)
-        labels_per_comp.append(labels)
-    combo = combine_components(tables, k)
-    assert combo is not None, "an uncapped exact sweep always succeeds"
-    picks, total = combo
-    parts = []
-    for tab_i, j in enumerate(picks):
-        wit = witnesses[tab_i][j]
-        labels = labels_per_comp[tab_i]
-        for part in wit.parts:
-            parts.append(frozenset(labels[v] for v in part))
-    partition = Partition.from_parts(parts)
+    swept = _exact_sweep(h, connected_components(h), k, _total(h))
+    assert swept is not None, "an uncapped exact sweep always succeeds"
+    partition, total = swept
     value = cut_weight(gw, partition)
     assert Fraction(value) == Fraction(total) * scale
     return SchemeResult(partition, value, SchemeStats(branch="exact-dp", epsilon=epsilon))

