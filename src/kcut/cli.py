@@ -223,12 +223,23 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+RUN_COUNTERS = (
+    "Work counters in the report: in exact mode, trees_tried is the number of "
+    "spanning trees the DP had taken in when it decided (it adds them in "
+    "batches of 1, 2, 4, ...; a no takes the whole family) and dp_states the "
+    "number of (decomposition node, adhesion projection, part count) states it "
+    "evaluated, re-evaluations after a batch included.  In approx mode, "
+    "stats.trees_used sums the family sizes and stats.dp_states the states of "
+    "the exact sweeps over the components."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kcut", description="Minimum k-cut solvers")
     parser.add_argument("--version", action="version", version=f"kcut {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="solve an instance")
+    run = sub.add_parser("run", help="solve an instance", epilog=RUN_COUNTERS)
     run.add_argument("--input", required=True, help="edge-list file")
     run.add_argument("--k", type=int, required=True)
     run.add_argument(

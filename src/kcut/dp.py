@@ -2,15 +2,22 @@
 solution size.
 
 The solver walks a compact edge-unbreakable tree decomposition bottom-up.
-At each node it guesses which edges of the spanning-tree projection an
-optimal solution cuts, derives from that guess a coarse split of the bag
-into a center and loosely attached satellite parts, and then runs a
+At each node it guesses which edges of a spanning tree's projection onto
+the bag an optimal solution cuts, derives from that guess a coarse split of
+the bag into a center and loosely attached satellite parts, and then runs a
 knapsack-style composition over the children hanging off each satellite.
-A guess's components come straight from the projection, rooted once per
-(tree, bag); a small childless bag scores every grouping of them from the
-guess's component-pair weight matrix and keeps only per-key minima.
-Every finite table entry corresponds to an actually constructible partition;
-traceback reconstruction re-verifies this by recomputing weights.
+A guess's components come straight from the projection, rooted once; a
+small childless bag scores every grouping of them from the guess's
+component-pair weight matrix and keeps only per-key minima.
+
+One DP serves the whole tree family: each node's candidates are the union
+over the family's trees, built once per distinct projection of a tree onto
+the bag, and each node is evaluated once over that union (``_Engine``
+explains why this is exact).  ``solve_exact`` adds the trees in batches
+and re-evaluates only the nodes a batch changed, so it can stop at the
+first batch that yields a cut within budget.  Every finite table entry
+corresponds to an actually constructible partition; traceback
+reconstruction re-verifies this by recomputing weights.
 
 Each call to ``solve_exact`` or ``exact_values`` builds its own
 decomposition and ``_Engine`` and drops both when it returns; the only
@@ -51,11 +58,6 @@ def tau_big(k: int, s: int) -> int:
 def guess_budget(k: int) -> int:
     """Maximum number of projected tree edges an optimal cut can cross."""
     return 2 * k - 2
-
-
-def avoid_budget(k: int, s: int) -> int:
-    """Size cap for the edge set a cut guess must avoid."""
-    return 2 * (2 * k - 1) * (tau_big(k, s) + 2 * k - 2)
 
 
 # -- bitmask partition helpers ----------------------------------------------
@@ -215,13 +217,78 @@ def project_tree(tree: Iterable[tuple[int, int]], x: Iterable[int]) -> Projected
     return out
 
 
-def _rooted_sides(pt: ProjectedTree) -> tuple[int, tuple[int, ...]]:
-    """The vertex mask of a projected tree and, per edge, the mask of the
-    vertices below it when the tree hangs from its smallest vertex."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in pt.vertices}
-    for i, e in enumerate(pt.edges):
-        adj[e.u].append((e.v, i))
-        adj[e.v].append((e.u, i))
+def _edge_pairs(pt: ProjectedTree) -> tuple[tuple[int, int], ...]:
+    return tuple((e.u, e.v) for e in pt.edges)
+
+
+def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from vertex 0 and parent links of a spanning tree
+    on vertices 0..n-1."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in tree:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _projection(order: Sequence[int], parent: Sequence[int], xmask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Vertex mask and sorted (u, v) edges of ``project_tree`` onto a
+    nonempty hub mask, from a tree rooted once by ``_rooting``, in linear
+    time.  Pruning and smoothing leave the minimal subtree spanning the
+    hubs with its non-hub degree-2 vertices dissolved: the hubs plus every
+    vertex where three branches toward hubs meet.  Each such vertex joins
+    the nearest one above it; when the hubs' lowest common ancestor is
+    dissolved, its two branches' top vertices join each other instead."""
+    nx = xmask.bit_count()
+    cnt = [0] * len(order)  # hubs below each vertex
+    for v in reversed(order):
+        cnt[v] += xmask >> v & 1
+        if parent[v] >= 0:
+            cnt[parent[v]] += cnt[v]
+    ways = [0] * len(order)  # directions from each vertex toward hubs
+    for v in order:
+        if cnt[v] and parent[v] >= 0:
+            ways[parent[v]] += 1
+            if cnt[v] < nx:
+                ways[v] += 1
+    keep = [xmask >> v & 1 or ways[v] >= 3 for v in range(len(order))]
+    vmask = 0
+    edges = []
+    tops = []
+    for v in order:
+        if not keep[v]:
+            continue
+        vmask |= 1 << v
+        if cnt[v] == nx:
+            continue  # the top of the projection
+        u = parent[v]
+        while cnt[u] < nx and not keep[u]:
+            u = parent[u]
+        if keep[u]:
+            edges.append((u, v) if u < v else (v, u))
+        else:
+            tops.append(v)
+    if tops:
+        a, b = tops
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
+    return vmask, tuple(edges)
+
+
+def _rooted_sides(vmask: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Per edge of a projected tree, the mask of the vertices below it when
+    the tree hangs from its smallest vertex."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in _bits(vmask)}
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
     order = [min(adj)] if adj else []
     up = {v: (-1, -1) for v in order}
     for v in order:
@@ -230,13 +297,13 @@ def _rooted_sides(pt: ProjectedTree) -> tuple[int, tuple[int, ...]]:
                 up[w] = (v, i)
                 order.append(w)
     sub = {v: 1 << v for v in order}
-    below = [0] * len(pt.edges)
+    below = [0] * len(edges)
     for v in reversed(order):
         p, i = up[v]
         if i >= 0:
             below[i] = sub[v]
             sub[p] |= sub[v]
-    return _mask(pt.vertices), tuple(below)
+    return tuple(below)
 
 
 def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list[int]:
@@ -264,24 +331,24 @@ class FeasibleFamily:
     partitions: tuple[Partition, ...]
 
 
-def _feasible_masks(pt: ProjectedTree, k: int) -> frozenset[MaskPartition]:
-    """Projections onto X of all partitions of the projected tree obtainable
-    by cutting at most 2k-2 edges and merging the resulting components."""
-    if not pt.x:
+def _feasible_masks(xmask: int, vmask: int, edges: Sequence[tuple[int, int]], k: int) -> frozenset[MaskPartition]:
+    """Projections onto the hub mask of all partitions of a projected tree
+    (vertex mask and edges) obtainable by cutting at most 2k-2 edges and
+    merging the resulting components."""
+    if not xmask:
         return frozenset({()})
-    xmask = _mask(pt.x)
-    full, below = _rooted_sides(pt)
+    below = _rooted_sides(vmask, edges)
     out: set[MaskPartition] = set()
-    budget = min(guess_budget(k), len(pt.edges))
+    budget = min(guess_budget(k), len(edges))
     for r in range(budget + 1):
-        for cut in combinations(range(len(pt.edges)), r):
-            for merged in _groupings(_cut_components(full, below, cut)):
+        for cut in combinations(range(len(edges)), r):
+            for merged in _groupings(_cut_components(vmask, below, cut)):
                 out.add(_proj_masks(merged, xmask))
     return frozenset(out)
 
 
 def feasible_family(pt: ProjectedTree, k: int) -> FeasibleFamily:
-    masks = sorted(_feasible_masks(pt, k))
+    masks = sorted(_feasible_masks(_mask(pt.x), _mask(pt.vertices), _edge_pairs(pt), k))
     return FeasibleFamily(pt.x, tuple(unmask_partition(m) for m in masks))
 
 
@@ -387,8 +454,10 @@ class _Level:
 
 
 class _Skeleton:
-    """Levels of one knapsack run.  ``static`` skeletons touch no child
-    tables, so their evaluations are memoized across the trees of one call."""
+    """Levels of one knapsack run.  A sealed skeleton no longer changes; when
+    it also touches no child table (``static``), its evaluations are
+    memoized across its node's evaluations.  A small bag's one skeleton
+    grows with every tree and is never sealed."""
 
     __slots__ = ("levels", "center", "static", "memo")
 
@@ -405,7 +474,6 @@ class _Skeleton:
 @dataclass
 class _NodeCtx:
     node: int
-    bag: frozenset[int]
     bag_mask: int
     adh_mask: int
     gamma_mask: int
@@ -417,12 +485,47 @@ class _NodeCtx:
     small: bool
 
 
+class _Cands:
+    """One node's candidates, the union over the trees taken in so far: its
+    skeletons and adhesion family, plus the bag and adhesion projections,
+    guess pieces, coarsenings and nice decompositions already taken in, so
+    that each is built once per node."""
+
+    __slots__ = ("skels", "family", "seen_proj", "seen_adh", "seen_pieces", "seen_parts", "seen_nd")
+
+    def __init__(self, skels: list[_Skeleton]):
+        self.skels = skels
+        self.family: set[MaskPartition] = set()
+        self.seen_proj: set[tuple] = set()
+        self.seen_adh: set[tuple] = set()
+        self.seen_pieces: set[MaskPartition] = set()
+        self.seen_parts: set[MaskPartition] = set()
+        self.seen_nd: set[tuple] = set()
+
+
 class _Engine:
-    """The solver state of one call, shared by the trees of its family:
-    node contexts, coarsening candidates, crossing weights, nice
-    decompositions and their skeletons, and per-guess grouping minima of
-    childless small bags.  Built for one graph, decomposition, k and budget
-    s, and dropped when the call returns."""
+    """The DP state of one call: node contexts, each node's candidates over
+    the family trees taken in so far, the budget-clamped value tables, and
+    memoized crossing weights, coarsenings and nice decompositions.  Built
+    for one graph, decomposition, k and budget s, and dropped when the call
+    returns.
+
+    ``add_tree`` takes one tree into every node's candidates, building them
+    once per distinct projection of the tree onto the bag and uniting the
+    adhesion family once per distinct projection onto the adhesion.
+    ``evaluate`` then recomputes, bottom-up, each node whose candidates
+    grew or whose children's values changed.
+
+    One evaluation over the union is exact.  Every table entry is realised
+    by a partition of gamma(t) with its adhesion projection, part count and
+    weight, since traceback rebuilds that partition and recomputes its
+    weight; so no entry lies below the optimum.  Each node's candidates and
+    adhesion family contain those of every tree taken in, among them a tree
+    that crosses an optimal k-cut at most 2k-2 times, and min-plus
+    composition is monotone in the candidates and the child tables; so no
+    entry lies above that tree's own DP entry.  Hence the root holds the
+    optimum once such a tree is in.
+    """
 
     def __init__(self, g: MultiGraph, td: TreeDecomposition, k: int, s: int):
         self.g = g
@@ -430,13 +533,14 @@ class _Engine:
         self.k = k
         self.s = s
         self.ctxs: dict[int, _NodeCtx] = {}
+        self.cands: dict[int, _Cands] = {}
+        self.tables: dict[int, dict[tuple[MaskPartition, int], tuple[int, object]]] = {}
+        self.states = 0
+        self._dirty: set[int] = set()
         self._wmemo: dict[MaskPartition, int] = {}
         self._grouping_cache: dict[tuple[int, ...], list[MaskPartition]] = {}
         self._coarse_cache: dict[tuple, dict[MaskPartition, _Coarse]] = {}
         self._cand_cache: dict[tuple, list[NiceDecomposition]] = {}
-        self._skel_cache: dict[tuple, _Skeleton | None] = {}
-        self._minima_cache: dict[tuple, tuple] = {}
-        self._small = tuple(len(b) <= tau_big(k, s) for b in td.bags)
         for t in range(len(td)):
             self._build_ctx(t)
 
@@ -455,7 +559,6 @@ class _Engine:
         child_adh = {c: _mask(td.adhesion(c)) for c in children}
         ctx = _NodeCtx(
             node=t,
-            bag=bag,
             bag_mask=_mask(bag),
             adh_mask=_mask(td.adhesion(t)),
             gamma_mask=_mask(gamma),
@@ -464,13 +567,20 @@ class _Engine:
             bag_edges=[(u, v, w) for u, v, w in self.g.edges if u in bag and v in bag],
             gamma_edges=[(u, v, w) for u, v, w in self.g.edges if u in gamma and v in gamma],
             adhesions=[child_adh[c] for c in children] + [_mask(td.adhesion(t))],
-            small=self._small[t],
+            small=len(bag) <= tau_big(self.k, self.s),
         )
         self.ctxs[t] = ctx
+        if ctx.small:
+            lvl = _Level(ctx.bag_mask, check_at=True, childless=not children)
+            self.cands[t] = _Cands([_Skeleton([lvl], 0)])
+        else:
+            self.cands[t] = _Cands([])
 
-    def crossing_weight(self, parts: MaskPartition) -> int:
+    def crossing_weight(self, parts: MaskPartition, edges: Sequence[tuple[int, int, int]] | None = None) -> int:
         """Crossing weight of a mask partition within the induced subgraph
-        on its ground set; memoized across trees and guesses."""
+        on its ground set, summed over ``edges`` (by default the graph's),
+        which must hold every edge inside that ground set; memoized across
+        trees and guesses."""
         got = self._wmemo.get(parts)
         if got is not None:
             return got
@@ -478,7 +588,7 @@ class _Engine:
         for p in parts:
             union |= p
         total = 0
-        for u, v, w in self.g.edges:
+        for u, v, w in self.g.edges if edges is None else edges:
             if union >> u & 1 and union >> v & 1:
                 for p in parts:
                     if p >> u & 1:
@@ -488,33 +598,25 @@ class _Engine:
         self._wmemo[parts] = total
         return total
 
-    def coarse_dict(self, node: int, kids: tuple[int, ...]) -> dict[MaskPartition, _Coarse]:
-        key = (node, kids)
-        got = self._coarse_cache.get(key)
-        if got is None:
-            got = {}
-            self._coarse_cache[key] = got
-        return got
-
     def coarse(self, ctx: _NodeCtx, parts: MaskPartition, kids: tuple[int, ...]) -> _Coarse:
-        cdict = self.coarse_dict(ctx.node, kids)
-        got = cdict.get(parts)
-        if got is not None:
-            return got
-        return self._make_coarse(ctx, parts, kids, cdict)
+        """The ``_Coarse`` of parts under the given children, shared by the
+        node's skeletons."""
+        cdict = self._coarse_cache.setdefault((ctx.node, kids), {})
+        co = cdict.get(parts)
+        if co is None:
+            co = cdict[parts] = self._make_coarse(ctx, parts, kids, self.crossing_weight(parts, ctx.bag_edges))
+        return co
 
-    def _make_coarse(self, ctx, parts, kids, cdict) -> _Coarse:
-        w_base = self.crossing_weight(parts)
+    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, kids: tuple[int, ...], w_base: int) -> _Coarse:
+        """A ``_Coarse`` of parts of (a level of) the bag weighing w_base."""
         at_proj = _proj_masks(parts, ctx.adh_mask)
         items = []
         for c in kids:
             a = ctx.child_adh[c]
             ckey = _proj_masks(parts, a)
-            w_adh = self.crossing_weight(ckey)
+            w_adh = self.crossing_weight(ckey, ctx.bag_edges)
             items.append((c, ckey, len(ckey), w_adh))
-        co = _Coarse(parts, len(parts), w_base, at_proj, tuple(items))
-        cdict[parts] = co
-        return co
+        return _Coarse(parts, len(parts), w_base, at_proj, tuple(items))
 
     # .. nice decomposition machinery (oversized bags) ..
 
@@ -612,37 +714,27 @@ class _Engine:
         qt = _proj_masks(qt_parts, ctx.bag_mask)
         return NiceDecomposition(pp, qt, center_b)
 
-    def skeleton_for(self, ctx: _NodeCtx, nd: NiceDecomposition) -> _Skeleton | None:
-        """Levels plus child assignment for one nice decomposition."""
-        cache_key = (ctx.node, nd.pprime, nd.qtilde, nd.center)
-        if cache_key in self._skel_cache:
-            return self._skel_cache[cache_key]
-        skel = self._skeleton_for(ctx, nd)
-        self._skel_cache[cache_key] = skel
-        return skel
-
     def _skeleton_for(self, ctx: _NodeCtx, nd: NiceDecomposition) -> _Skeleton | None:
+        """Levels plus child assignment for one nice decomposition: the
+        center, then the center with each satellite.  None when a child's
+        adhesion fits no level."""
         satellites = sorted(p for p in nd.pprime if p != nd.center)
-        if nd.center:
-            level_masks = [nd.center] + [nd.center | p for p in satellites]
-        else:
-            level_masks = [ctx.bag_mask]
+        level_masks = [nd.center] + [nd.center | p for p in satellites]
         assign: list[list[int]] = [[] for _ in level_masks]
         for c in ctx.children:
             a = ctx.child_adh[c]
             if a == 0:
                 raise AssertionError("empty child adhesion under a connected graph")
+            hits = [li for li, p in enumerate(satellites) if a & p]
+            if len(hits) > 1:
+                return None
             home = 0
-            if nd.center:
-                hits = [li for li, p in enumerate(satellites) if a & p]
-                if len(hits) > 1:
+            if hits:
+                if a & ~(nd.center | satellites[hits[0]]):
                     return None
-                if hits:
-                    if a & ~(nd.center | satellites[hits[0]]):
-                        return None
-                    home = hits[0] + 1
-                elif a & ~nd.center:
-                    return None
+                home = hits[0] + 1
+            elif a & ~nd.center:
+                return None
             assign[home].append(c)
 
         skel = _Skeleton([], nd.center)
@@ -656,84 +748,95 @@ class _Engine:
         skel.seal()
         return skel
 
-    # .. per-node skeleton assembly ..
+    # .. taking trees in ..
 
-    def _node_skeletons(self, t: int, tree: tuple[tuple[int, int], ...]) -> list[_Skeleton]:
-        """Skeletons of node t under one tree.
+    def add_tree(self, tree: Sequence[tuple[int, int]]) -> None:
+        """Take one family tree into every node's candidates and adhesion
+        family; nodes whose candidates grow are evaluated next time."""
+        order, parent = _rooting(tree, self.g.n)
+        for t, ctx in self.ctxs.items():
+            cands = self.cands[t]
+            key = _projection(order, parent, ctx.bag_mask)
+            if key not in cands.seen_proj:
+                cands.seen_proj.add(key)
+                if self._add_projection(ctx, cands, *key):
+                    self._dirty.add(t)
+            akey = _projection(order, parent, ctx.adh_mask) if ctx.adh_mask else (0, ())
+            if akey not in cands.seen_adh:
+                cands.seen_adh.add(akey)
+                fam = _feasible_masks(ctx.adh_mask, *akey, self.k)
+                if not fam <= cands.family:
+                    cands.family |= fam
+                    self._dirty.add(t)
 
-        The bag's projection of the tree is rooted once; each guess of
-        crossed projection edges then yields its components directly.  A
-        small bag gets one merged skeleton over the maximal guesses (its
-        value is monotone under guess enlargement).  Only groupings of at
-        most k parts can fit a state.  Without children the level keeps the
-        per-key minima of ``_grouping_minima``, moving one only on a strictly
-        smaller weight, so the first minimiser in guess-then-grouping order
-        stays; with children it keeps every such grouping as a ``_Coarse``.
-        An oversized bag gets one skeleton per distinct nice decomposition
-        of every guess.
-        """
-        ctx = self.ctxs[t]
-        proj = project_tree(tree, ctx.bag)
-        m = len(proj.edges)
+    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, edges: tuple) -> bool:
+        """Take in every guess of crossed edges of one bag projection, whose
+        components come straight from the projection rooted once; True if
+        the candidates grew.  A small bag takes only the maximal guesses
+        (its value is monotone under guess enlargement), an oversized bag
+        every guess of at most 2k-2 edges."""
+        below = _rooted_sides(vmask, edges)
+        m = len(edges)
         cap = min(guess_budget(self.k), m)
-        full, below = _rooted_sides(proj)
-        if ctx.small:
-            guesses = (
-                _proj_masks(_cut_components(full, below, guess), ctx.bag_mask)
-                for guess in combinations(range(m), cap)
-            )
-            kids = tuple(ctx.children)
-            lvl = _Level(ctx.bag_mask, check_at=True, childless=not kids)
-            if not kids:
-                for pieces in guesses:
-                    for key, w, parts in self._grouping_minima(ctx, pieces):
-                        cur = lvl.best.get(key)
-                        if cur is None or w < cur[0]:
-                            lvl.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
-            else:
-                cdict = self.coarse_dict(t, kids)
-                seen: set[MaskPartition] = set()
-                for pieces in guesses:
-                    for parts in self.groupings_of(pieces):
-                        if len(parts) > self.k or parts in seen:
-                            continue
-                        seen.add(parts)
-                        co = cdict.get(parts)
-                        if co is None:
-                            co = self._make_coarse(ctx, parts, kids, cdict)
-                        lvl.add(co)
-            skel = _Skeleton([lvl], 0)
-            skel.seal()
-            return [skel]
-        skels: list[_Skeleton] = []
-        seen_nd: set[tuple] = set()
-        for r in range(cap + 1):
+        add = self._add_small_guess if ctx.small else self._add_big_guess
+        grew = False
+        for r in (cap,) if ctx.small else range(cap + 1):
             for guess in combinations(range(m), r):
-                comps = _cut_components(full, below, guess)
-                for nd in self.big_candidates(ctx, comps):
-                    key = (nd.pprime, nd.qtilde, nd.center)
-                    if key in seen_nd:
-                        continue
-                    seen_nd.add(key)
-                    skel = self.skeleton_for(ctx, nd)
-                    if skel is not None:
-                        skels.append(skel)
-        return skels
+                grew |= add(ctx, cands, _cut_components(vmask, below, guess))
+        return grew
 
-    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
-        """Per (adhesion projection, part count <= k) key, the weight and
-        parts of the first lightest grouping of one guess's pieces, in label
-        order; memoized per node, since trees share most guesses' pieces.
+    def _add_small_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
+        """A small bag's one level takes the groupings of one guess's pieces
+        into at most k parts, the only ones that can fit a state; pieces
+        already taken in change nothing.  Without children the level keeps
+        the per-key minima of ``_grouping_minima``, moving one only on a
+        strictly smaller weight, so the first minimiser in tree, guess and
+        grouping order stays; with children it keeps every grouping not
+        seen before as a ``_Coarse``."""
+        pieces = _proj_masks(comps, ctx.bag_mask)
+        if pieces in cands.seen_pieces:
+            return False
+        cands.seen_pieces.add(pieces)
+        (lvl,) = cands.skels[0].levels
+        grew = False
+        if lvl.childless:
+            for key, w, parts in self._grouping_minima(ctx, pieces):
+                cur = lvl.best.get(key)
+                if cur is None or w < cur[0]:
+                    lvl.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
+                    grew = True
+            return grew
+        kids = tuple(ctx.children)
+        labelings, weights, _ = self._grouping_weights(ctx, pieces, ())
+        for lab, w in zip(labelings, weights):
+            parts = tuple(sorted(_merged(pieces, lab, max(lab) + 1)))
+            if parts not in cands.seen_parts:
+                cands.seen_parts.add(parts)
+                lvl.add(self._make_coarse(ctx, parts, kids, w))
+                grew = True
+        return grew
 
-        One pass over the bag's edges gives the weight between every two
-        pieces; a grouping's crossing weight is the sum over the piece pairs
-        it separates."""
-        got = self._minima_cache.get((ctx.node, pieces))
-        if got is not None:
-            return got
+    def _add_big_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
+        """An oversized bag takes one skeleton per nice decomposition of the
+        guess not taken in before."""
+        grew = False
+        for nd in self.big_candidates(ctx, comps):
+            key = (nd.pprime, nd.qtilde, nd.center)
+            if key in cands.seen_nd:
+                continue
+            cands.seen_nd.add(key)
+            skel = self._skeleton_for(ctx, nd)
+            if skel is not None:
+                cands.skels.append(skel)
+                grew = True
+        return grew
+
+    def _grouping_weights(self, ctx: _NodeCtx, pieces: MaskPartition, touch: tuple[int, ...]) -> tuple:
+        """``_scoring``'s labelings and groups for one guess's pieces, with
+        the crossing weight of each grouping.  One pass over the bag's edges
+        gives the weight between every two pieces; a grouping's crossing
+        weight is the sum over the piece pairs it separates."""
         c = len(pieces)
-        adh = ctx.adh_mask
-        touch = tuple(i for i, p in enumerate(pieces) if p & adh)
         labelings, pairs, groups = _scoring(c, self.k, touch)
         owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
         between = [0] * (c * c)
@@ -741,7 +844,15 @@ class _Engine:
             a, b = owner[u], owner[v]
             if a != b:
                 between[a * c + b if a < b else b * c + a] += w
-        weights = [sum(map(between.__getitem__, ab)) for ab in pairs]
+        return labelings, [sum(map(between.__getitem__, ab)) for ab in pairs], groups
+
+    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
+        """Per (adhesion projection, part count <= k) key, the weight and
+        parts of the first lightest grouping of one guess's pieces, in label
+        order."""
+        adh = ctx.adh_mask
+        touch = tuple(i for i, p in enumerate(pieces) if p & adh)
+        labelings, weights, groups = self._grouping_weights(ctx, pieces, touch)
         adh_pieces = [pieces[j] & adh for j in touch]
         found: dict[tuple, tuple[int, int]] = {}
         for (pattern, nparts), idx in groups:
@@ -750,37 +861,43 @@ class _Engine:
             got = found.get((at, nparts))
             if got is None or (weights[i], i) < got:
                 found[(at, nparts)] = (weights[i], i)
-        got = self._minima_cache[(ctx.node, pieces)] = tuple(
+        return tuple(
             (key, w, tuple(sorted(_merged(pieces, labelings[i], key[1]))))
             for key, (w, i) in found.items()
         )
-        return got
-
-
-class TreeCutDP:
-    """One bottom-up pass for a fixed spanning tree over the engine's
-    decomposition at the engine's cut budget.
-
-    This object holds the tree's per-node skeletons and adhesion families
-    and the budget-clamped value tables; coarsenings, skeletons and their
-    memos come from the engine and serve the call's other trees too."""
-
-    def __init__(self, engine: _Engine, tree: Sequence[tuple[int, int]]):
-        self.e = engine
-        self.tree = tuple(tree)
-        self.tables: dict[int, dict[tuple[MaskPartition, int], tuple[int, object]]] = {}
-        nodes = range(len(engine.td))
-        self.skels = {t: engine._node_skeletons(t, self.tree) for t in nodes}
-        self._families = {
-            t: _feasible_masks(project_tree(self.tree, engine.td.adhesion(t)), engine.k)
-            for t in nodes
-        }
-        self.states = 0
-
-    def adhesion_family(self, t: int) -> frozenset[MaskPartition]:
-        return self._families[t]
 
     # .. evaluation ..
+
+    def evaluate(self) -> None:
+        """Recompute, bottom-up, the table of every node whose candidates
+        grew since the last call or whose children's values changed."""
+        changed: set[int] = set()
+        for t in self.td.post_order():
+            if t in self._dirty or any(c in changed for c in self.ctxs[t].children):
+                old = self.tables.get(t)
+                self._solve_node(t)
+                if old is None or _values(old) != _values(self.tables[t]):
+                    changed.add(t)
+        self._dirty.clear()
+
+    def _solve_node(self, t: int) -> None:
+        table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
+        for pa in sorted(self.cands[t].family):
+            for i in range(1, self.k + 1):
+                best = self._best(t, pa, i)
+                if best is not None:
+                    table[(pa, i)] = best
+                self.states += 1
+        self.tables[t] = table
+
+    def _best(self, t: int, pa: MaskPartition, i: int):
+        """The first lightest of the node's skeletons' values for one state."""
+        best = None
+        for si, skel in enumerate(self.cands[t].skels):
+            got = self._eval(skel, pa, i)
+            if got is not None and (best is None or got[0] < best[0]):
+                best = (got[0], (si, got[1]))
+        return best
 
     def _eval(self, skel: _Skeleton, pa: MaskPartition, i: int):
         if skel.static:
@@ -793,7 +910,7 @@ class TreeCutDP:
         return self._eval_inner(skel, pa, i)
 
     def _eval_inner(self, skel: _Skeleton, pa: MaskPartition, i: int):
-        k, s = self.e.k, self.e.s
+        k, s = self.k, self.s
         rows = []
         for lvl in skel.levels:
             row: dict[int, tuple[int, object]] = {}
@@ -857,39 +974,13 @@ class TreeCutDP:
                 return None
         return acc.get(i)
 
-    # .. node driver ..
-
-    def run(self) -> dict[tuple[MaskPartition, int], tuple[int, object]]:
-        for t in self.e.td.post_order():
-            self.solve_node(t)
-        return self.tables[self.e.td.root]
-
-    def solve_node(self, t: int) -> None:
-        k = self.e.k
-        skels = self.skels[t]
-        table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
-        for pa in sorted(self.adhesion_family(t)):
-            for i in range(1, k + 1):
-                best = None
-                for si, skel in enumerate(skels):
-                    got = self._eval(skel, pa, i)
-                    if got is None:
-                        continue
-                    v, chain = got
-                    if best is None or v < best[0]:
-                        best = (v, (si, chain))
-                if best is not None:
-                    table[(pa, i)] = best
-                self.states += 1
-        self.tables[t] = table
-
     # .. traceback ..
 
     def reconstruct(self, t: int, pa: MaskPartition, i: int) -> MaskPartition:
         """Rebuild the witnessing partition of gamma(t); verifies itself."""
-        ctx = self.e.ctxs[t]
+        ctx = self.ctxs[t]
         value, (si, chain) = self.tables[t][(pa, i)]
-        skel = self.skels[t][si]
+        skel = self.cands[t].skels[si]
         assert len(chain) == len(skel.levels)
         acc_parts: list[int] = []
         for lvl, (co, child_choices) in zip(skel.levels, chain):
@@ -927,9 +1018,13 @@ class TreeCutDP:
         assert total == ctx.gamma_mask, "reconstructed partition misses vertices"
         assert len(acc_parts) == i
         assert _proj_masks(acc_parts, ctx.adh_mask) == pa
-        w = self.e.crossing_weight(tuple(sorted(acc_parts)))
+        w = self.crossing_weight(tuple(sorted(acc_parts)))
         assert w == value, f"traceback weight {w} != table value {value}"
         return tuple(sorted(acc_parts))
+
+
+def _values(table: dict) -> dict:
+    return {key: ent[0] for key, ent in table.items()}
 
 
 # -- public operations --------------------------------------------------------
@@ -973,9 +1068,13 @@ def solve_exact(
 ) -> ExactResult:
     """Decide whether g has a k-cut of weight at most s; optionally build one.
 
-    Runs the decomposition DP once per family tree, stopping at the first
-    tree that witnesses a cut of weight at most s.  A ``yes`` in construct
-    mode carries a partition whose recomputed weight equals the value.
+    Takes the family's trees into one DP in batches of 1, 2, 4, ... trees,
+    re-evaluating after each batch only the nodes it changed, and stops
+    after the first batch whose root holds a cut of weight at most s.
+    ``trees_tried`` counts the trees taken in by then (the whole family on a
+    ``no``), ``dp_states`` every (node, adhesion projection, part count)
+    state evaluated on the way.  A ``yes`` in construct mode carries a
+    partition whose recomputed weight equals the value.
     """
     _check_exact_inputs(g, k, s)
     if mode not in ("decide", "construct"):
@@ -983,19 +1082,21 @@ def solve_exact(
     fam = _tree_family(g, k, trees)
     td = build_unbreakable_decomposition(g, s)
     engine = _Engine(g, td, k, s)
-    states = 0
-    for ti in range(len(fam)):
-        dp = TreeCutDP(engine, fam.tree_edges(ti))
-        root = dp.run()
-        states += dp.states
-        ent = root.get(((), k))
+    used = 0
+    while used < len(fam):
+        upto = min(2 * used + 1, len(fam))
+        for ti in range(used, upto):
+            engine.add_tree(fam.tree_edges(ti))
+        used = upto
+        engine.evaluate()
+        ent = engine.tables[td.root].get(((), k))
         if ent is not None and ent[0] <= s:
-            masks = dp.reconstruct(td.root, (), k)
+            masks = engine.reconstruct(td.root, (), k)
             partition = unmask_partition(masks) if mode == "construct" else None
             if partition is not None:
                 assert cut_weight(g, partition) == ent[0]
-            return ExactResult(True, ent[0], partition, ti + 1, states)
-    return ExactResult(False, None, None, len(fam), states)
+            return ExactResult(True, ent[0], partition, used, engine.states)
+    return ExactResult(False, None, None, len(fam), engine.states)
 
 
 def exact_values(
@@ -1008,30 +1109,31 @@ def exact_values(
 ) -> list[tuple[int | None, Partition | None]]:
     """Minimum cut weights (and witnesses) for every part count 1..kmax.
 
-    One DP pass per tree with the budget clamped at ``s_cap`` fills the
-    whole vector; entries stay None where no cut of weight <= s_cap exists.
-    Index 0 is unused.
+    One DP evaluation over the whole family's candidates, with the budget
+    clamped at ``s_cap``, fills the whole vector; each part count's
+    witness is reconstructed (and so checked) once.  Entries stay None
+    where no cut of weight <= s_cap exists.  Index 0 is unused.
     """
     _check_exact_inputs(g, max(1, min(kmax, g.n)), s_cap)
     kmax = min(kmax, g.n)
     fam = _tree_family(g, kmax, trees)
     td = build_unbreakable_decomposition(g, s_cap)
     engine = _Engine(g, td, kmax, s_cap)
-    best: list[tuple[int | None, Partition | None]] = [(None, None)] * (kmax + 1)
-    states = 0
     for ti in range(len(fam)):
-        dp = TreeCutDP(engine, fam.tree_edges(ti))
-        root = dp.run()
-        states += dp.states
-        for i in range(1, kmax + 1):
-            ent = root.get(((), i))
-            if ent is not None and (best[i][0] is None or ent[0] < best[i][0]):
-                masks = dp.reconstruct(td.root, (), i)  # self-check
-                part = unmask_partition(masks) if construct else None
-                best[i] = (ent[0], part)
+        engine.add_tree(fam.tree_edges(ti))
+    engine.evaluate()
+    root = engine.tables[td.root]
+    best: list[tuple[int | None, Partition | None]] = [(None, None)]
+    for i in range(1, kmax + 1):
+        ent = root.get(((), i))
+        if ent is None:
+            best.append((None, None))
+            continue
+        masks = engine.reconstruct(td.root, (), i)  # self-check
+        best.append((ent[0], unmask_partition(masks) if construct else None))
     if stats_out is not None:
         stats_out["trees"] = stats_out.get("trees", 0) + len(fam)
-        stats_out["states"] = stats_out.get("states", 0) + states
+        stats_out["states"] = stats_out.get("states", 0) + engine.states
     return best
 
 
@@ -1045,15 +1147,17 @@ def compute_state(
     s: int,
     k: int,
 ) -> int | None:
-    """Single DP state f_t(key) given complete child tables; None plays the
-    role of infinity (no realizing partition of weight at most s)."""
-    dp = _prepared_dp(g, td, tree, k, s, child_tables)
+    """Single DP state f_t(key) of the DP fed one tree, given complete child
+    tables; None plays the role of infinity (no realizing partition of
+    weight at most s, or an adhesion projection outside the tree's
+    feasible family)."""
+    engine = _prepared_engine(g, td, k, s, child_tables)
     for c in td.children(t):
-        if c not in dp.tables:
+        if c not in engine.tables:
             raise InvalidInputError(f"child table for node {c} missing")
-    dp.solve_node(t)
-    pa, i = mask_partition(key[0]), key[1]
-    ent = dp.tables[t].get((pa, i))
+    engine.add_tree(tree)
+    engine._solve_node(t)
+    ent = engine.tables[t].get((mask_partition(key[0]), key[1]))
     return None if ent is None else ent[0]
 
 
@@ -1068,75 +1172,22 @@ def cut_guess_value(
     s: int,
     k: int,
 ) -> int | None:
-    """Value of the DP state under one fixed guess of crossed projection
-    edges (indices into the bag projection's edge list); an upper bound on
-    the true state value, tight for the right guess."""
-    dp = _prepared_dp(g, td, tree, k, s, child_tables)
-    ctx = dp.e.ctxs[t]
-    pa, i = mask_partition(key[0]), key[1]
-    best = None
-    for nd in nice_decompositions(g, td, tree, t, cprime, s, k, _dp=dp):
-        skel = dp.e.skeleton_for(ctx, nd)
-        if skel is None:
-            continue
-        got = dp._eval(skel, pa, i)
-        if got is not None and (best is None or got[0] < best):
-            best = got[0]
-    return best
+    """Value of the DP state when node t takes its candidates from one
+    guess of crossed projection edges (indices into the bag projection's
+    edge list) alone; an upper bound on the true state value, tight for
+    the right guess."""
+    engine = _prepared_engine(g, td, k, s, child_tables)
+    ctx = engine.ctxs[t]
+    vmask, edges = _projection(*_rooting(tree, g.n), ctx.bag_mask)
+    comps = _cut_components(vmask, _rooted_sides(vmask, edges), set(cprime))
+    add = engine._add_small_guess if ctx.small else engine._add_big_guess
+    add(ctx, engine.cands[t], comps)
+    best = engine._best(t, mask_partition(key[0]), key[1])
+    return None if best is None else best[0]
 
 
-def nice_decompositions(
-    g: MultiGraph,
-    td: TreeDecomposition,
-    tree: Sequence[tuple[int, int]],
-    t: int,
-    cprime: Iterable[int],
-    s: int,
-    k: int,
-    _dp: TreeCutDP | None = None,
-) -> list[NiceDecomposition]:
-    """Candidate nice decompositions for one guess of crossed edges."""
-    dp = _dp if _dp is not None else TreeCutDP(_Engine(g, td, k, s), tree)
-    ctx = dp.e.ctxs[t]
-    full, below = _rooted_sides(project_tree(tree, ctx.bag))
-    comps = _cut_components(full, below, set(cprime))
-    if ctx.small:
-        if len(comps) > 2 * k - 1:
-            return []
-        qt = _proj_masks(comps, ctx.bag_mask)
-        nd = NiceDecomposition((ctx.bag_mask,), qt, 0)
-        validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, k)
-        return [nd]
-    return dp.e.big_candidates(ctx, comps)
-
-
-def knapsack_value(
-    g: MultiGraph,
-    td: TreeDecomposition,
-    tree: Sequence[tuple[int, int]],
-    t: int,
-    key: tuple[Partition, int],
-    nd: NiceDecomposition,
-    child_tables: dict[int, dict[tuple[Partition, int], int]],
-    s: int,
-    k: int,
-) -> int | None:
-    """Knapsack composition value for one nice decomposition of the bag."""
-    dp = _prepared_dp(g, td, tree, k, s, child_tables)
-    ctx = dp.e.ctxs[t]
-    skel = dp.e.skeleton_for(ctx, nd)
-    if skel is None:
-        return None
-    pa, i = mask_partition(key[0]), key[1]
-    got = dp._eval(skel, pa, i)
-    return None if got is None else got[0]
-
-
-def _prepared_dp(g, td, tree, k, s, child_tables) -> TreeCutDP:
-    dp = TreeCutDP(_Engine(g, td, k, s), tree)
+def _prepared_engine(g, td, k, s, child_tables) -> _Engine:
+    engine = _Engine(g, td, k, s)
     for c, tab in child_tables.items():
-        converted: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
-        for (p, i), v in tab.items():
-            converted[(mask_partition(p), i)] = (v, None)
-        dp.tables[c] = converted
-    return dp
+        engine.tables[c] = {(mask_partition(p), i): (v, None) for (p, i), v in tab.items()}
+    return engine

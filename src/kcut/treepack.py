@@ -11,8 +11,8 @@ family across the edge set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .graph import InvalidInputError, MultiGraph, Partition, is_connected, uf_find, uf_union
@@ -38,23 +38,30 @@ def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
 
     The cost of an edge class is its usage count divided by its multiplicity,
     so classes with many parallel copies absorb proportionally more trees.
-    Ties break on edge index.  Duplicate trees are dropped.
+    Ties break on edge index.  Duplicate trees are dropped.  Costs are
+    compared as exact integers: with L the lcm of the multiplicities (of
+    the numerators p of rational weights p/q), load / mult orders as
+    load * (L // mult), and load / (p/q) as load * q * (L // p).
     """
     if count < 1:
         raise InvalidInputError("tree count must be positive")
     if not is_connected(g) or g.n == 0:
         raise InvalidInputError("tree packing needs a connected graph")
     loads = [0] * g.m
+    lcm = math.lcm(*(w.numerator for _, _, w in g.edges))
+    scale = [lcm // w.numerator * w.denominator for _, _, w in g.edges]
     seen: set[tuple[int, ...]] = set()
     trees: list[tuple[int, ...]] = []
     for _ in range(count):
-        order = sorted(range(g.m), key=lambda e: (Fraction(loads[e], g.edges[e][2]), e))
+        order = sorted(range(g.m), key=lambda e: (loads[e] * scale[e], e))
         parent = list(range(g.n))
         tree = []
         for e in order:
             u, v, _ = g.edges[e]
             if uf_union(parent, u, v):
                 tree.append(e)
+                if len(tree) == g.n - 1:
+                    break
         assert len(tree) == g.n - 1
         key = tuple(sorted(tree))
         for e in tree:

@@ -1,21 +1,27 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from kcut.cuts import oracle_exact_kcut
+import kcut.dp as dp_module
+from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import TreeDecomposition, build_unbreakable_decomposition
 from kcut.dp import (
-    NiceDecomposition,
     Partition,
-    TreeCutDP,
+    _cut_components,
+    _edge_pairs,
     _Engine,
+    _mask,
+    _projection,
+    _rooted_sides,
+    _rooting,
+    _values,
     compute_state,
     cut_guess_value,
     exact_values,
     feasible_family,
-    knapsack_value,
-    nice_decompositions,
+    mask_partition,
     project_tree,
     solve_exact,
 )
@@ -54,11 +60,10 @@ def canon(p: Partition):
 
 class TestConstants:
     def test_budget_formulas(self):
-        from kcut.dp import avoid_budget, guess_budget, tau_big
+        from kcut.dp import guess_budget, tau_big
 
         assert guess_budget(3) == 4
         assert tau_big(2, 1) == 4 * 32
-        assert avoid_budget(2, 1) == 2 * 3 * (128 + 2)
 
 
 class TestProjectTree:
@@ -121,6 +126,22 @@ class TestFeasibleFamily:
             via_proj = {canon(p) for p in feasible_family(project_tree(tree, x), k).partitions}
             via_full = {canon(p) for p in feasible_family(_identity_projection(tree, x), k).partitions}
             assert via_proj == via_full
+
+
+class TestProjectionKey:
+    def test_matches_project_tree(self):
+        # The linear-time projection from a tree rooted once has the
+        # vertices and edges, in order, that pruning and smoothing leave.
+        rng = random.Random(17)
+        for _ in range(400):
+            n = rng.randint(1, 40)
+            tree = [(rng.randrange(v), v) for v in range(1, n)]
+            rng.shuffle(tree)
+            tree = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree]
+            x = rng.sample(range(n), rng.randint(1, n))
+            pt = project_tree(tree, x)
+            got = _projection(*_rooting(tree, n), _mask(x))
+            assert got == (_mask(pt.vertices), _edge_pairs(pt)), (tree, x)
 
 
 def _identity_projection(tree, x):
@@ -292,45 +313,33 @@ class TestCutGuess:
 
 
 class TestNiceDecompositions:
-    def test_small_bag_single_candidate(self):
-        g = cycle(4)
-        td = build_unbreakable_decomposition(g, 2)
-        tree = enumerate_spanning_trees(g).tree_edges(0)
-        nds = nice_decompositions(g, td, tree, 0, (), 2, 2)
-        assert len(nds) == 1
-        assert nds[0].center == 0
-        assert len(nds[0].pprime) == 1
-
-    def test_small_bag_too_many_parts_rejected(self):
-        g = path_graph(6)
-        td = build_unbreakable_decomposition(g, 5)
-        assert len(td) == 1
-        tree = tuple((i, i + 1) for i in range(5))
-        # Cutting 4 of 5 path edges leaves 5 components > 2k-1 for k=2.
-        nds = nice_decompositions(g, td, tree, 0, (0, 1, 2, 3), 5, 2)
-        assert nds == []
-
     def test_big_branch_properties(self):
         # s=0 puts any bag beyond 2k vertices in the oversized branch.
         g = path_graph(7)
         td = build_unbreakable_decomposition(g, 0)
         assert len(td) == 1
-        tree = tuple((i, i + 1) for i in range(6))
-        nds = nice_decompositions(g, td, tree, 0, (2,), 0, 2)
+        engine = _Engine(g, td, 2, 0)
+        ctx = engine.ctxs[0]
+        assert not ctx.small
+        pt = project_tree(tuple((i, i + 1) for i in range(6)), td.bags[0])
+        vmask, edges = _mask(pt.vertices), _edge_pairs(pt)
+        comps = _cut_components(vmask, _rooted_sides(vmask, edges), {2})
+        nds = engine.big_candidates(ctx, comps)
         assert nds  # validation happens inside construction
         for nd in nds:
             assert nd.center != 0
 
 
 class TestKnapsackValue:
+    """A single bag's value when its candidates come from one guess."""
+
     def test_leaf_direct_weights(self):
         g = cycle(4)
         td = build_unbreakable_decomposition(g, 4)
         tree = enumerate_spanning_trees(g).tree_edges(0)
-        nds = nice_decompositions(g, td, tree, 0, (), 4, 2)
-        v = knapsack_value(g, td, tree, 0, (Partition.empty(), 1), nds[0], {}, 4, 2)
+        v = cut_guess_value(g, td, tree, 0, (Partition.empty(), 1), (), {}, 4, 2)
         assert v == 0
-        v2 = knapsack_value(g, td, tree, 0, (Partition.empty(), 2), nds[0], {}, 4, 2)
+        v2 = cut_guess_value(g, td, tree, 0, (Partition.empty(), 2), (), {}, 4, 2)
         # With no tree edge cut the bag cannot split into 2 parts.
         assert v2 is None
 
@@ -338,13 +347,8 @@ class TestKnapsackValue:
         g = MultiGraph.multi(2, [(0, 1)])
         td = build_unbreakable_decomposition(g, 3)
         tree = ((0, 1),)
-        nds = nice_decompositions(g, td, tree, 0, (0,), 3, 2)
-        assert nds
-        vals = [
-            knapsack_value(g, td, tree, 0, (Partition.empty(), 2), nd, {}, 3, 2)
-            for nd in nds
-        ]
-        assert any(v == 1 for v in vals if v is not None)
+        assert cut_guess_value(g, td, tree, 0, (Partition.empty(), 2), (), {}, 3, 2) is None
+        assert cut_guess_value(g, td, tree, 0, (Partition.empty(), 2), (0,), {}, 3, 2) == 1
 
 
 def doubled_cycles(n):
@@ -389,9 +393,9 @@ class TestLargeBags:
 
 class TestSingleBagDifferential:
     def test_root_values_match_feasible_family(self):
-        # With the whole vertex set as one bag, the DP's root value for i
-        # parts is the lightest i-part partition the tree's feasible family
-        # holds.
+        # With the whole vertex set as one bag, the root value for i parts
+        # of the DP fed one tree is the lightest i-part partition that
+        # tree's feasible family holds.
         for seed in range(30):
             g = connected_multigraph(seed, n_lo=3, n_hi=9)
             k = 2 + seed % 2
@@ -399,11 +403,13 @@ class TestSingleBagDifferential:
                 continue
             s = sum(w for _, _, w in g.edges)
             td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
-            engine = _Engine(g, td, k, s)
             fam = pack_trees(g, 3)
             for ti in range(len(fam)):
                 tree = fam.tree_edges(ti)
-                root = TreeCutDP(engine, tree).run()
+                engine = _Engine(g, td, k, s)
+                engine.add_tree(tree)
+                engine.evaluate()
+                root = engine.tables[0]
                 family = feasible_family(project_tree(tree, range(g.n)), k).partitions
                 for i in range(1, k + 1):
                     want = min(
@@ -411,3 +417,181 @@ class TestSingleBagDifferential:
                     )
                     got = root.get(((), i))
                     assert (None if got is None else got[0]) == want, (seed, ti, i)
+
+
+def blob_chain(count, size, links):
+    """Cliques K_size of doubled edges in a row, consecutive ones joined by
+    ``links`` unit edges between distinct vertices."""
+    edges = []
+    for b in range(count):
+        base = b * size
+        edges += [(base + i, base + j, 2) for i in range(size) for j in range(i + 1, size)]
+        if b + 1 < count:
+            edges += [(base + i, base + size + (i + 1) % size, 1) for i in range(links)]
+    return MultiGraph.multi(count * size, edges)
+
+
+class TestUnionEngine:
+    """The engine evaluates each node once over the union of the family's
+    per-node candidates; ``solve_exact`` re-evaluates after each batch."""
+
+    def _cases(self):
+        # Chains of cliques joined by three or four edges decompose into
+        # bags with adhesions of that size; the 16 x K3 chain has a batch
+        # that changes a child's values but not its parent's candidates, and
+        # the 8 x K5 chain's 4-vertex adhesions have feasible families that
+        # differ between trees.
+        for count, size, links, k in [(16, 3, 3, 2), (8, 5, 4, 2)]:
+            g = blob_chain(count, size, links)
+            yield g, k, links, build_unbreakable_decomposition(g, links), pack_trees(g, 8)
+        for seed in range(4):
+            g = connected_multigraph(700 + seed, n_lo=8, n_hi=14, extra_hi=10)
+            k = 2 + seed % 2
+            s = 1 + seed % 3
+            yield g, k, s, build_unbreakable_decomposition(g, s), pack_trees(g, 8)
+
+    def test_batches_match_one_pass(self):
+        multi_node = 0
+        for g, k, s, td, fam in self._cases():
+            multi_node += len(td) > 1
+            stepwise, once = _Engine(g, td, k, s), _Engine(g, td, k, s)
+            for ti in range(len(fam)):
+                stepwise.add_tree(fam.tree_edges(ti))
+                stepwise.evaluate()
+                once.add_tree(fam.tree_edges(ti))
+            once.evaluate()
+            for t in range(len(td)):
+                assert _values(stepwise.tables[t]) == _values(once.tables[t]), t
+            for (pa, i) in stepwise.tables[td.root]:
+                stepwise.reconstruct(td.root, pa, i)  # rebuilds and re-weighs
+        assert multi_node >= 2
+
+    def test_union_of_families_and_no_worse_than_each_tree(self):
+        for g, k, s, td, fam in self._cases():
+            union = _Engine(g, td, k, s)
+            for ti in range(len(fam)):
+                union.add_tree(fam.tree_edges(ti))
+            union.evaluate()
+            for t in range(len(td)):
+                want = set()
+                for ti in range(len(fam)):
+                    pt = project_tree(fam.tree_edges(ti), td.adhesion(t))
+                    want |= {mask_partition(p) for p in feasible_family(pt, k).partitions}
+                assert union.cands[t].family == want, t
+            root = _values(union.tables[td.root])
+            for ti in range(len(fam)):
+                single = _Engine(g, td, k, s)
+                single.add_tree(fam.tree_edges(ti))
+                single.evaluate()
+                for key, v in _values(single.tables[td.root]).items():
+                    assert root[key] <= v
+
+
+def clique_ring_graph(seed):
+    """A ring of 3-6 K5s with doubled edges, consecutive cliques joined by a
+    link of multiplicity 1-2 between random members, plus up to two unit
+    chords between cliques: 15-30 vertices."""
+    rng = random.Random(seed)
+    count = rng.randint(3, 6)
+    n = 5 * count
+    mult: dict[tuple[int, int], int] = {}
+
+    def add(u, v, w):
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + w
+
+    for c in range(count):
+        for i, j in itertools.combinations(range(5 * c, 5 * c + 5), 2):
+            add(i, j, 2)
+        nxt = (c + 1) % count * 5
+        add(5 * c + rng.randrange(5), nxt + rng.randrange(5), rng.randint(1, 2))
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        if u // 5 != v // 5:
+            add(u, v, 1)
+    return MultiGraph.multi(n, [(u, v, w) for (u, v), w in sorted(mult.items())])
+
+
+class TestPastOracle:
+    """Differential checks on 15-30 vertices, beyond the enumeration oracle:
+    ``solve_exact`` takes the family's trees in batches and re-evaluates only
+    the nodes they change, ``exact_values`` evaluates the whole family's
+    union once over a decomposition at another budget."""
+
+    CASES = [(0, 2), (2, 2), (4, 2), (6, 2), (8, 2), (10, 2), (3, 3), (19, 3)]
+
+    @pytest.mark.parametrize("seed,k", CASES)
+    def test_decisions_match_exact_values(self, seed, k):
+        g = clique_ring_graph(seed)
+        assert 15 <= g.n <= 30
+        cap = 4
+        vals = exact_values(g, k, cap, construct=True)
+        opt = vals[k][0]
+        if opt is not None:
+            assert cut_weight(g, vals[k][1]) == opt
+        budgets = range(1, cap + 1) if k == 2 else ([opt - 1, opt] if opt is not None else [cap])
+        for s in budgets:
+            res = solve_exact(g, k, s, mode="construct")
+            assert res.feasible == (opt is not None and opt <= s), s
+            if res.feasible:
+                assert opt <= res.value <= s
+                assert res.value == cut_weight(g, res.partition)
+        if k == 2:
+            lam = global_min_2cut(g).order
+            assert opt == (lam if lam <= cap else None)
+
+
+class TestOversizedBranch:
+    """With ``tau_big`` forced to 2 every bag of three or more vertices takes
+    the oversized branch (nice decompositions and multi-level skeletons);
+    its values and decisions must equal the small-bag branch's."""
+
+    CASES = [(502, 2), (506, 2), (510, 2), (514, 2), (503, 3), (511, 3), (513, 3)]
+
+    @pytest.mark.parametrize("seed,k", CASES)
+    def test_matches_small_bag_branch(self, seed, k, monkeypatch):
+        g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
+        cap = 3
+        small = [v for v, _ in exact_values(g, k, cap)]
+        big_guesses = []
+        add_big = _Engine._add_big_guess
+
+        def counted(self, *args):
+            big_guesses.append(1)
+            return add_big(self, *args)
+
+        monkeypatch.setattr(_Engine, "_add_big_guess", counted)
+        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
+        big = [v for v, _ in exact_values(g, k, cap, construct=True)]
+        decisions = [solve_exact(g, k, s, mode="construct") for s in range(cap + 1)]
+        monkeypatch.undo()
+        assert big_guesses
+        assert big == small
+        for s, res in enumerate(decisions):
+            assert res.feasible == (small[k] is not None and small[k] <= s)
+            if res.feasible:
+                assert res.value == cut_weight(g, res.partition) <= s
+
+
+class TestClosedForm:
+    """Optima known in closed form, past the enumeration oracle."""
+
+    @pytest.mark.parametrize("seed,n,k", [(1, 15, 2), (2, 20, 3), (3, 30, 2), (4, 30, 3)])
+    def test_tree_lightest_edges(self, seed, n, k):
+        # Cutting a tree's k-1 lightest edges leaves k parts, and any k
+        # parts cut at least k-1 tree edges.
+        rng = random.Random(seed)
+        g = MultiGraph.multi(n, [(rng.randrange(v), v, rng.randint(1, 9)) for v in range(1, n)])
+        opt = sum(sorted(w for _, _, w in g.edges)[: k - 1])
+        assert not solve_exact(g, k, opt - 1).feasible
+        res = solve_exact(g, k, opt, mode="construct")
+        assert res.feasible and res.value == opt == cut_weight(g, res.partition)
+
+    @pytest.mark.parametrize("n,k", [(15, 2), (15, 3), (16, 3), (18, 2)])
+    def test_complete_graph(self, n, k):
+        # Isolating k-1 single vertices is optimal in K_n.
+        g = MultiGraph.multi(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        opt = (k - 1) * (n - 1) - math.comb(k - 1, 2)
+        assert not solve_exact(g, k, opt - 1).feasible
+        res = solve_exact(g, k, opt, mode="construct")
+        assert res.feasible and res.value == opt == cut_weight(g, res.partition)

@@ -128,3 +128,47 @@ class TestTTreeGuarantee:
             fam = enumerate_spanning_trees(g)
             best = min(crossings(fam.tree_edges(i), opt_part) for i in range(len(fam)))
             assert best <= 2 * k - 2
+
+
+def fraction_keyed_pack(g, count):
+    """The packer as first written, with Fraction-valued usage costs."""
+    from fractions import Fraction
+
+    from kcut.graph import uf_union
+
+    loads = [0] * g.m
+    seen, trees = set(), []
+    for _ in range(count):
+        order = sorted(range(g.m), key=lambda e: (Fraction(loads[e], g.edges[e][2]), e))
+        parent = list(range(g.n))
+        tree = [e for e in order if uf_union(parent, g.edges[e][0], g.edges[e][1])]
+        key = tuple(sorted(tree))
+        for e in tree:
+            loads[e] += 1
+        if key not in seen:
+            seen.add(key)
+            trees.append(key)
+    return tuple(trees), tuple(loads)
+
+
+class TestIntegerCosts:
+    def test_matches_fraction_keyed_packing(self):
+        # Integer costs scaled by the lcm of the multiplicities order edges
+        # exactly as the Fraction costs do, ties included.
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(3, 30)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.sample(range(n), 2)
+                edges.append((min(u, v), max(u, v)))
+            g = MultiGraph.multi(n, [(u, v, rng.randint(1, 6)) for u, v in edges])
+            fam = pack_trees(g, 40)
+            assert (fam.trees, fam.loads) == fraction_keyed_pack(g, 40)
+
+    def test_rational_weights(self):
+        from fractions import Fraction
+
+        g = MultiGraph.weighted(4, [(0, 1, Fraction(3, 2)), (1, 2, Fraction(2, 3)), (0, 2, 1), (2, 3, 5)])
+        fam = pack_trees(g, 12)
+        assert (fam.trees, fam.loads) == fraction_keyed_pack(g, 12)
