@@ -470,18 +470,24 @@ def approx2_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
     return _approx2_kcut(g, k, {})
 
 
+def merge_to_k_parts(parts: Iterable[Iterable[int]], k: int) -> list[set[int]]:
+    """Merge the two smallest parts, by (size, least vertex), until at most
+    k remain."""
+    out = sorted((set(p) for p in parts), key=lambda p: (len(p), min(p)))
+    while len(out) > k:
+        merged = out[0] | out[1]
+        out = sorted(out[2:] + [merged], key=lambda p: (len(p), min(p)))
+    return out
+
+
 def _approx2_kcut(g: MultiGraph, k: int, memo: dict[MultiGraph, EdgeCut]) -> tuple[Partition, Num]:
     """``approx2_kcut`` with the minimum cuts of component subgraphs kept in
     ``memo``, so parts left whole by a round are not cut again."""
     if not 1 <= k <= g.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
     h, scale = to_integer_multigraph(g)
-    parts: list[set[int]] = [set(p) for p in connected_components(h).parts]
+    parts = merge_to_k_parts(connected_components(h).parts, k)
     total = 0
-    while len(parts) > k:
-        parts.sort(key=lambda p: (len(p), min(p)))
-        merged = parts[0] | parts[1]
-        parts = [merged] + parts[2:]
     while len(parts) < k:
         best: tuple[int, int, frozenset[int]] | None = None
         for part in sorted(parts, key=min):

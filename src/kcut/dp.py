@@ -6,9 +6,10 @@ At each node it guesses which edges of a spanning tree's projection onto
 the bag an optimal solution cuts, derives from that guess a coarse split of
 the bag into a center and loosely attached satellite parts, and then runs a
 knapsack-style composition over the children hanging off each satellite.
-A guess's components come straight from the projection, rooted once; a
-small childless bag scores every grouping of them from the guess's
-component-pair weight matrix and keeps only per-key minima.
+A guess's components come straight from the projection, rooted once.
+Every knapsack level, a small bag's one or an oversized bag's center and
+satellites, scores the groupings of its pieces into at most k parts from
+one piece-pair weight matrix; a childless level keeps only per-key minima.
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
@@ -422,35 +423,26 @@ class _Coarse:
 class _Level:
     """Coarsening candidates for one knapsack level, indexed for fast eval.
 
-    Candidates group by their adhesion projection when the level hosts the
-    node's own adhesion.  Levels without children keep only the
-    per-(projection, part count) minima in ``best``, since nothing else can
-    matter; a small bag fills them from its guesses without ``add``.
+    Candidates group by their adhesion projection, () when the level does
+    not host the node's own adhesion.  Levels without children keep only
+    the per-(projection, part count) minima in ``best``, since nothing else
+    can matter.  ``_Engine._fill_level`` fills both kinds.
     """
 
-    __slots__ = ("mask", "check_at", "childless", "by_at", "coarsenings", "best")
+    __slots__ = ("check_at", "childless", "by_at", "best")
 
-    def __init__(self, mask: int, check_at: bool, childless: bool):
-        self.mask = mask
+    def __init__(self, check_at: bool, childless: bool):
         self.check_at = check_at
         self.childless = childless
         self.by_at: dict[MaskPartition, list[_Coarse]] = {}
-        self.coarsenings: list[_Coarse] = []
         self.best: dict[tuple, tuple[int, _Coarse]] = {}
 
     def add(self, co: _Coarse) -> None:
         # No weight filtering here: evaluation applies the budget clamp.
-        self.coarsenings.append(co)
-        if self.childless:
-            key = (co.at_proj if self.check_at else None, co.nparts)
-            cur = self.best.get(key)
-            if cur is None or co.w_base < cur[0]:
-                self.best[key] = (co.w_base, co)
-        elif self.check_at:
-            self.by_at.setdefault(co.at_proj, []).append(co)
+        self.by_at.setdefault(co.at_proj if self.check_at else (), []).append(co)
 
     def candidates(self, pa: MaskPartition) -> list[_Coarse]:
-        return self.by_at.get(pa, []) if self.check_at else self.coarsenings
+        return self.by_at.get(pa if self.check_at else (), [])
 
 
 class _Skeleton:
@@ -488,8 +480,9 @@ class _NodeCtx:
 class _Cands:
     """One node's candidates, the union over the trees taken in so far: its
     skeletons and adhesion family, plus the bag and adhesion projections,
-    guess pieces, coarsenings and nice decompositions already taken in, so
-    that each is built once per node."""
+    guesses (a small bag's pieces, an oversized bag's components), a small
+    bag's coarsenings and the nice decompositions already taken in, so that
+    each is built once per node."""
 
     __slots__ = ("skels", "family", "seen_proj", "seen_adh", "seen_pieces", "seen_parts", "seen_nd")
 
@@ -506,9 +499,8 @@ class _Cands:
 class _Engine:
     """The DP state of one call: node contexts, each node's candidates over
     the family trees taken in so far, the budget-clamped value tables, and
-    memoized crossing weights, coarsenings and nice decompositions.  Built
-    for one graph, decomposition, k and budget s, and dropped when the call
-    returns.
+    memoized crossing weights.  Built for one graph, decomposition, k and
+    budget s, and dropped when the call returns.
 
     ``add_tree`` takes one tree into every node's candidates, building them
     once per distinct projection of the tree onto the bag and uniting the
@@ -538,18 +530,8 @@ class _Engine:
         self.states = 0
         self._dirty: set[int] = set()
         self._wmemo: dict[MaskPartition, int] = {}
-        self._grouping_cache: dict[tuple[int, ...], list[MaskPartition]] = {}
-        self._coarse_cache: dict[tuple, dict[MaskPartition, _Coarse]] = {}
-        self._cand_cache: dict[tuple, list[NiceDecomposition]] = {}
         for t in range(len(td)):
             self._build_ctx(t)
-
-    def groupings_of(self, pieces: tuple[int, ...]) -> list[MaskPartition]:
-        got = self._grouping_cache.get(pieces)
-        if got is None:
-            got = _groupings(pieces)
-            self._grouping_cache[pieces] = got
-        return got
 
     def _build_ctx(self, t: int) -> None:
         td = self.td
@@ -571,7 +553,7 @@ class _Engine:
         )
         self.ctxs[t] = ctx
         if ctx.small:
-            lvl = _Level(ctx.bag_mask, check_at=True, childless=not children)
+            lvl = _Level(check_at=True, childless=not children)
             self.cands[t] = _Cands([_Skeleton([lvl], 0)])
         else:
             self.cands[t] = _Cands([])
@@ -597,15 +579,6 @@ class _Engine:
                         break
         self._wmemo[parts] = total
         return total
-
-    def coarse(self, ctx: _NodeCtx, parts: MaskPartition, kids: tuple[int, ...]) -> _Coarse:
-        """The ``_Coarse`` of parts under the given children, shared by the
-        node's skeletons."""
-        cdict = self._coarse_cache.setdefault((ctx.node, kids), {})
-        co = cdict.get(parts)
-        if co is None:
-            co = cdict[parts] = self._make_coarse(ctx, parts, kids, self.crossing_weight(parts, ctx.bag_edges))
-        return co
 
     def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, kids: tuple[int, ...], w_base: int) -> _Coarse:
         """A ``_Coarse`` of parts of (a level of) the bag weighing w_base."""
@@ -644,33 +617,18 @@ class _Engine:
         return adj
 
     def big_candidates(self, ctx: _NodeCtx, comps: list[int]) -> list[NiceDecomposition]:
-        """Nice decompositions for an oversized bag.
-
-        All component subsets of size at most 2k-1 form a covering family
-        for any avoid budget.  Results depend only on the component
-        partition and are memoized on it.
-        """
-        cache_key = (ctx.node, tuple(comps))
-        cached = self._cand_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        k = self.k
+        """Nice decompositions of an oversized bag for one guess's
+        components, one per component subset of size at most 2k-1 (a
+        covering family for any avoid budget), repeats included and not yet
+        validated: ``_add_big_guess`` drops the repeats and validates the
+        rest."""
         adjacency = self.component_adjacency(ctx, comps)
         out: list[NiceDecomposition] = []
-        seen: set[tuple] = set()
-        idx = list(range(len(comps)))
-        for r in range(0, min(2 * k - 1, len(idx)) + 1):
-            for pick in combinations(idx, r):
+        for r in range(0, min(2 * self.k - 1, len(comps)) + 1):
+            for pick in combinations(range(len(comps)), r):
                 nd = self._assemble(ctx, comps, adjacency, set(pick))
-                if nd is None:
-                    continue
-                key = (nd.pprime, nd.qtilde, nd.center)
-                if key in seen:
-                    continue
-                seen.add(key)
-                validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, k)
-                out.append(nd)
-        self._cand_cache[cache_key] = out
+                if nd is not None:
+                    out.append(nd)
         return out
 
     def _assemble(self, ctx: _NodeCtx, comps: list[int], adj: list[set[int]], pick: set[int]) -> NiceDecomposition | None:
@@ -741,9 +699,8 @@ class _Engine:
         for li, mask in enumerate(level_masks):
             pieces = tuple(sorted(q & mask for q in nd.qtilde if q & mask))
             kids = tuple(assign[li])
-            lvl = _Level(mask, check_at=ctx.adh_mask & ~mask == 0, childless=not kids)
-            for parts in self.groupings_of(pieces):
-                lvl.add(self.coarse(ctx, parts, kids))
+            lvl = _Level(check_at=ctx.adh_mask & ~mask == 0, childless=not kids)
+            self._fill_level(ctx, lvl, pieces, kids, set())
             skel.levels.append(lvl)
         skel.seal()
         return skel
@@ -786,45 +743,56 @@ class _Engine:
         return grew
 
     def _add_small_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
-        """A small bag's one level takes the groupings of one guess's pieces
-        into at most k parts, the only ones that can fit a state; pieces
-        already taken in change nothing.  Without children the level keeps
-        the per-key minima of ``_grouping_minima``, moving one only on a
-        strictly smaller weight, so the first minimiser in tree, guess and
-        grouping order stays; with children it keeps every grouping not
-        seen before as a ``_Coarse``."""
+        """A small bag's one level takes the groupings of one guess's
+        pieces; pieces already taken in change nothing."""
         pieces = _proj_masks(comps, ctx.bag_mask)
         if pieces in cands.seen_pieces:
             return False
         cands.seen_pieces.add(pieces)
         (lvl,) = cands.skels[0].levels
+        return self._fill_level(ctx, lvl, pieces, tuple(ctx.children), cands.seen_parts)
+
+    def _fill_level(
+        self, ctx: _NodeCtx, lvl: _Level, pieces: MaskPartition, kids: tuple[int, ...], seen: set[MaskPartition]
+    ) -> bool:
+        """Take into a level the groupings of its pieces into at most k
+        parts, the only ones that can fit a state; True if it grew.  Without
+        children the level keeps the per-key minima of ``_grouping_minima``,
+        moving one only on a strictly smaller weight, so the first minimiser
+        in tree, guess and grouping order stays; with children it keeps
+        every grouping not in ``seen``, the groupings earlier calls gave the
+        level, as a ``_Coarse`` under ``kids``."""
         grew = False
         if lvl.childless:
-            for key, w, parts in self._grouping_minima(ctx, pieces):
+            for key, w, parts in self._grouping_minima(ctx, pieces, ctx.adh_mask if lvl.check_at else 0):
                 cur = lvl.best.get(key)
                 if cur is None or w < cur[0]:
                     lvl.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
                     grew = True
             return grew
-        kids = tuple(ctx.children)
         labelings, weights, _ = self._grouping_weights(ctx, pieces, ())
         for lab, w in zip(labelings, weights):
             parts = tuple(sorted(_merged(pieces, lab, max(lab) + 1)))
-            if parts not in cands.seen_parts:
-                cands.seen_parts.add(parts)
+            if parts not in seen:
+                seen.add(parts)
                 lvl.add(self._make_coarse(ctx, parts, kids, w))
                 grew = True
         return grew
 
     def _add_big_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
         """An oversized bag takes one skeleton per nice decomposition of the
-        guess not taken in before."""
+        guess not taken in before; components already taken in change
+        nothing."""
+        if tuple(comps) in cands.seen_pieces:
+            return False
+        cands.seen_pieces.add(tuple(comps))
         grew = False
         for nd in self.big_candidates(ctx, comps):
             key = (nd.pprime, nd.qtilde, nd.center)
             if key in cands.seen_nd:
                 continue
             cands.seen_nd.add(key)
+            validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, self.k)
             skel = self._skeleton_for(ctx, nd)
             if skel is not None:
                 cands.skels.append(skel)
@@ -832,25 +800,25 @@ class _Engine:
         return grew
 
     def _grouping_weights(self, ctx: _NodeCtx, pieces: MaskPartition, touch: tuple[int, ...]) -> tuple:
-        """``_scoring``'s labelings and groups for one guess's pieces, with
+        """``_scoring``'s labelings and groups for one level's pieces, with
         the crossing weight of each grouping.  One pass over the bag's edges
-        gives the weight between every two pieces; a grouping's crossing
-        weight is the sum over the piece pairs it separates."""
+        gives the weight between every two pieces, skipping edges that leave
+        the pieces; a grouping's crossing weight is the sum over the piece
+        pairs it separates."""
         c = len(pieces)
         labelings, pairs, groups = _scoring(c, self.k, touch)
         owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
         between = [0] * (c * c)
         for u, v, w in ctx.bag_edges:
-            a, b = owner[u], owner[v]
-            if a != b:
+            a, b = owner.get(u), owner.get(v)
+            if a != b and a is not None and b is not None:
                 between[a * c + b if a < b else b * c + a] += w
         return labelings, [sum(map(between.__getitem__, ab)) for ab in pairs], groups
 
-    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
-        """Per (adhesion projection, part count <= k) key, the weight and
-        parts of the first lightest grouping of one guess's pieces, in label
-        order."""
-        adh = ctx.adh_mask
+    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition, adh: int) -> tuple:
+        """Per (projection onto the adhesion mask ``adh``, part count <= k)
+        key, the weight and parts of the first lightest grouping of one
+        level's pieces, in label order."""
         touch = tuple(i for i, p in enumerate(pieces) if p & adh)
         labelings, weights, groups = self._grouping_weights(ctx, pieces, touch)
         adh_pieces = [pieces[j] & adh for j in touch]
@@ -915,7 +883,7 @@ class _Engine:
         for lvl in skel.levels:
             row: dict[int, tuple[int, object]] = {}
             if lvl.childless:
-                at = pa if lvl.check_at else None
+                at = pa if lvl.check_at else ()
                 for r in range(1, i + 1):
                     ent = lvl.best.get((at, r))
                     if ent is not None and ent[0] <= s:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Num = int | Fraction
 
@@ -96,9 +96,6 @@ class MultiGraph:
     def total_weight(self) -> Num:
         return sum((w for _, _, w in self.edges), 0)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v, _ in self.edges:
@@ -125,28 +122,6 @@ class MultiGraph:
             if u in index and v in index
         ]
         return MultiGraph(len(keep), tuple(sub), self.mode), keep
-
-    def contract_partition(self, groups: Sequence[Iterable[int]]) -> tuple["MultiGraph", list[int]]:
-        """Contract each group to one vertex; returns graph and old->new map.
-
-        Groups must cover ``0..n-1`` and be disjoint.  Edges inside a group
-        vanish; parallel records between groups are kept separate.
-        """
-        label = [-1] * self.n
-        order = sorted(range(len(groups)), key=lambda i: min(groups[i]))
-        for new, gi in enumerate(order):
-            for v in groups[gi]:
-                if label[v] != -1:
-                    raise InvalidInputError("contraction groups overlap")
-                label[v] = new
-        if any(l == -1 for l in label):
-            raise InvalidInputError("contraction groups must cover all vertices")
-        edges = []
-        for u, v, w in self.edges:
-            a, b = label[u], label[v]
-            if a != b:
-                edges.append((min(a, b), max(a, b), w))
-        return MultiGraph(len(groups), tuple(edges), self.mode), label
 
 
 @dataclass(frozen=True)
@@ -266,9 +241,6 @@ class EdgeCut:
             if (u in a) != (v in a):
                 order += w
         return cls(a, b, order)
-
-    def crossing_edges(self, g: MultiGraph) -> list[tuple[int, int, Num]]:
-        return [(u, v, w) for u, v, w in g.edges if (u in self.side_a) != (v in self.side_a)]
 
 
 def uf_find(parent: list[int], x: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cuts import ORACLE_ENUM_LIMIT, approx2_kcut, oracle_exact_kcut, to_integer_multigraph
+from .cuts import ORACLE_ENUM_LIMIT, approx2_kcut, merge_to_k_parts, oracle_exact_kcut, to_integer_multigraph
 from .dp import exact_values
 from .graph import (
     WEIGHTED,
@@ -107,14 +107,6 @@ def combine_components(
     return None if got is None else (got[1], got[0])
 
 
-def _merge_to_k_parts(parts: list[set[int]], k: int) -> list[set[int]]:
-    parts = sorted((set(p) for p in parts), key=lambda p: (len(p), min(p)))
-    while len(parts) > k:
-        merged = parts[0] | parts[1]
-        parts = sorted(parts[2:] + [merged], key=lambda p: (len(p), min(p)))
-    return parts
-
-
 def _as_weighted(g: MultiGraph) -> MultiGraph:
     if g.mode == WEIGHTED:
         return g
@@ -138,7 +130,7 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
     # Weight-0 records connect nothing a cut has to pay for.
     comps = connected_components(MultiGraph.weighted(n, [e for e in gw.edges if e[2] > 0]))
     if len(comps) >= k:
-        parts = _merge_to_k_parts([set(p) for p in comps.parts], k)
+        parts = merge_to_k_parts(comps.parts, k)
         partition = Partition.from_parts(parts)
         value = cut_weight(gw, partition)
         assert value == 0
@@ -161,7 +153,7 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
         strip = strip_cheap_2cuts(gstar, k, eps_inner)
     g1 = strip.graph
     if strip.hit_k_components:
-        parts = _merge_to_k_parts([set(p) for p in connected_components(g1).parts], k)
+        parts = merge_to_k_parts(connected_components(g1).parts, k)
         partition = rounded.lift_partition(Partition.from_parts(parts))
         value = cut_weight(gw, partition)
         stats = SchemeStats(
@@ -187,7 +179,7 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
     cap = sweep_cap(n, k, eps_inner)
     comps2 = connected_components(g2)
     if len(comps2) > k:
-        parts = _merge_to_k_parts([set(p) for p in comps2.parts], k)
+        parts = merge_to_k_parts(comps2.parts, k)
         partition = rounded.lift_partition(Partition.from_parts(parts))
         value = cut_weight(gw, partition)
         stats = SchemeStats(
@@ -240,10 +232,6 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
     return SchemeResult(partition, value, stats)
 
 
-def _total(g: MultiGraph) -> int:
-    return sum(w for _, _, w in g.edges)
-
-
 def _exact_sweep(
     h: MultiGraph, comps: Partition, k: int, cap: int, stats_out: dict | None = None
 ) -> tuple[Partition, int] | None:
@@ -255,7 +243,7 @@ def _exact_sweep(
     witnesses: list[tuple[list[int], list]] = []
     for part in comps.parts:
         sub, labels = h.induced_subgraph(part)
-        vec = exact_values(sub, min(k, sub.n), min(cap, _total(sub)), construct=True, stats_out=stats_out)
+        vec = exact_values(sub, min(k, sub.n), min(cap, sub.total_weight()), construct=True, stats_out=stats_out)
         tables.append({j: v for j, (v, _) in enumerate(vec) if v is not None})
         witnesses.append((labels, vec))
     combo = combine_components(tables, k)
@@ -278,7 +266,7 @@ def _solve_exactly(gw: MultiGraph, k: int, epsilon: Fraction) -> SchemeResult:
     h, scale = to_integer_multigraph(gw)
     # cc < k here, but the graph may still be disconnected; solve per
     # component and recombine through the knapsack.
-    swept = _exact_sweep(h, connected_components(h), k, _total(h))
+    swept = _exact_sweep(h, connected_components(h), k, h.total_weight())
     assert swept is not None, "an uncapped exact sweep always succeeds"
     partition, total = swept
     value = cut_weight(gw, partition)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,28 @@ class TestDeterminism:
         b = subprocess.run(argv, capture_output=True, check=True)
         assert a.stdout == b.stdout
         assert a.stdout.strip()
+
+
+def golden_cases():
+    """(arguments, stdout) pairs of ``cli_golden.txt``: a line of ``kcut run``
+    arguments, then the JSON line it printed for BRIDGED at seed 11.  A
+    change that alters the report on purpose records the file again and
+    says why."""
+    lines = (Path(__file__).parent / "cli_golden.txt").read_text().splitlines(keepends=True)
+    return [(lines[i].strip(), lines[i + 1]) for i in range(0, len(lines), 2)]
+
+
+class TestGoldenJson:
+    """The JSON report stays byte-identical from one commit to the next, not
+    only from one run to the next; k = 3 at s = 0 keeps the bag small, k = 2
+    at s = 0 sends it through the oversized branch."""
+
+    @pytest.mark.parametrize("args,expected", golden_cases())
+    def test_matches_recorded_output(self, tmp_path, capsys, args, expected):
+        path = write(tmp_path, "b.g", BRIDGED)
+        code, out, _ = run_cli(["run", "--input", path, "--seed", "11", "--json"] + args.split(), capsys)
+        assert code == 0
+        assert out == expected
 
 
 class TestGenerate:

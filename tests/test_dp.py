@@ -24,6 +24,7 @@ from kcut.dp import (
     mask_partition,
     project_tree,
     solve_exact,
+    validate_nice_decomposition,
 )
 from kcut.graph import InvalidInputError, MultiGraph, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
@@ -325,8 +326,9 @@ class TestNiceDecompositions:
         vmask, edges = _mask(pt.vertices), _edge_pairs(pt)
         comps = _cut_components(vmask, _rooted_sides(vmask, edges), {2})
         nds = engine.big_candidates(ctx, comps)
-        assert nds  # validation happens inside construction
+        assert nds
         for nd in nds:
+            validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, 2)
             assert nd.center != 0
 
 
@@ -571,6 +573,64 @@ class TestOversizedBranch:
             assert res.feasible == (small[k] is not None and small[k] <= s)
             if res.feasible:
                 assert res.value == cut_weight(g, res.partition) <= s
+
+    @pytest.mark.parametrize("seed,k", CASES[:2] + CASES[4:6])
+    def test_level_weights_count_inside_edges(self, seed, k, monkeypatch):
+        # A candidate weighs the edges inside its level only.  The union
+        # over skeletons can hide a wrong weight from the values, so every
+        # candidate of every level is checked against a direct count.
+        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
+        g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
+        engine = _Engine(g, build_unbreakable_decomposition(g, 3), k, 3)
+        fam = dp_module._tree_family(g, k, None)
+        for ti in range(len(fam)):
+            engine.add_tree(fam.tree_edges(ti))
+        checked = 0
+        for cands in engine.cands.values():
+            for skel in cands.skels:
+                for lvl in skel.levels:
+                    coarse = [co for group in lvl.by_at.values() for co in group]
+                    for co in coarse + [co for _, co in lvl.best.values()]:
+                        level = sum(co.parts)
+                        inside = [(u, v, w) for u, v, w in g.edges if level >> u & 1 and level >> v & 1]
+                        assert co.w_base == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in co.parts))
+                        checked += 1
+        assert checked
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return MultiGraph.multi(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+def scaled(g, c):
+    return MultiGraph.multi(g.n, [(u, v, c * w) for u, v, w in g.edges])
+
+
+class TestMetamorphic:
+    """``exact_values`` optima do not depend on vertex names and scale with
+    the weights: a relabelled graph has the same optima, and multiplying
+    every multiplicity and the cap by c multiplies them by c (an optimum
+    over the cap stays None).  Run past the oracle on ``TestPastOracle``'s
+    clique rings (without its slowest case) and, with ``tau_big`` forced to
+    2, on ``TestOversizedBranch``'s graphs."""
+
+    @staticmethod
+    def check(g, k, cap, seed):
+        vals = [v for v, _ in exact_values(g, k, cap)]
+        assert [v for v, _ in exact_values(relabelled(g, seed), k, cap)] == vals
+        c = 2 + seed % 2
+        assert [v for v, _ in exact_values(scaled(g, c), k, c * cap)] == [None if v is None else c * v for v in vals]
+
+    @pytest.mark.parametrize("seed,k", [c for c in TestPastOracle.CASES if c != (3, 3)])
+    def test_clique_rings(self, seed, k):
+        self.check(clique_ring_graph(seed), k, 4, seed)
+
+    @pytest.mark.parametrize("seed,k", TestOversizedBranch.CASES)
+    def test_oversized_branch(self, seed, k, monkeypatch):
+        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
+        self.check(connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8), k, 3, seed)
 
 
 class TestClosedForm:

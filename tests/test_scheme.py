@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -137,6 +138,31 @@ class TestExactDpBranch:
         )
         assert len(res.partition) == 3 and cut_weight(g, res.partition) == res.value
         assert res.stats.trees_used == 0 and res.stats.dp_states == 0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_disjoint_cliques(self, k):
+        # Splitting K_n into j parts costs at least (j-1)(n-1) - C(j-1, 2),
+        # reached by isolating j-1 vertices; the optimum spreads the k-3
+        # extra parts over K6, K7 and K8 as cheaply as that allows.
+        sizes = (6, 7, 8)
+        edges, base = [], 0
+        for n in sizes:
+            edges += [(base + i, base + j, 1) for i in range(n) for j in range(i + 1, n)]
+            base += n
+        g = MultiGraph.weighted(base, edges)
+
+        def split(n, j):
+            return (j - 1) * (n - 1) - (j - 1) * (j - 2) // 2
+
+        opt = min(
+            sum(split(n, j) for n, j in zip(sizes, js))
+            for js in itertools.product(range(1, k + 1), repeat=3)
+            if sum(js) == k
+        )
+        res = solve(g, k, Fraction(1, 100))
+        assert res.stats.branch == "exact-dp"
+        assert res.value == opt == cut_weight(g, res.partition)
+        assert len(res.partition) == k
 
 
 class TestSolveGuarantee:
