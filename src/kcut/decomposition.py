@@ -11,6 +11,7 @@ of its private vertices.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -243,45 +244,45 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
         for c in kids[v]:
             acc |= subtree[c]
         subtree[v] = acc
+    below = [len(subtree[v] & q) for v in range(g.n)]  # terminals per subtree
 
     family: set[frozenset[int]] = set()
     for v in range(g.n):
-        if len(subtree[v] & q) >= s + 1:
+        if below[v] >= s + 1:
             family.add(frozenset(subtree[v]))
 
-    # Ancestor-descendant paths, walking each vertex up to the root.
-    paths: list[list[int]] = []
+    # Ancestor-descendant paths, walking each vertex up to the root.  Each
+    # step adds one vertex to the path, so the path's terminal count and its
+    # off-path children with terminals below them (``good``) grow by the new
+    # top's share: its own membership and its children but the one just left.
+    # ``kids`` lists are ascending, so ``good`` stays sorted.
     for v in range(g.n):
-        if len({v} & q) >= s + 1:  # only possible at s = 0
-            family.add(frozenset([v]))
         path = [v]
+        hits = int(v in q)
+        if hits >= s + 1:  # only possible at s = 0
+            family.add(frozenset(path))
+        good = [w for w in kids[v] if below[w]]
         u = v
         while u != root:
-            u = parent[u]
+            child, u = u, parent[u]
             path.append(u)
-            if len(set(path) & q) >= s + 1:
+            hits += u in q
+            for w in kids[u]:
+                if w != child and below[w]:
+                    insort(good, w)
+            if hits >= s + 1:
                 family.add(frozenset(path))
-            paths.append(list(path))
-    for path in paths:
-        on_path = set(path)
-        good = [
-            w
-            for p in path
-            for w in kids[p]
-            if w not in on_path and subtree[w] & q
-        ]
-        if len(good) < (s + 1) ** 2:
-            continue
-        good.sort()
-        bundles: list[set[int]] = [set() for _ in range(s + 1)]
-        for i, w in enumerate(good):
-            bundles[i % (s + 1)].add(w)
-        for bundle in bundles:
-            assert len(bundle) >= s + 1
-            h = set(on_path)
-            for w in bundle:
-                h |= subtree[w]
-            family.add(frozenset(h))
+            if len(good) < (s + 1) ** 2:
+                continue
+            bundles: list[set[int]] = [set() for _ in range(s + 1)]
+            for i, w in enumerate(good):
+                bundles[i % (s + 1)].add(w)
+            for bundle in bundles:
+                assert len(bundle) >= s + 1
+                h = set(path)
+                for w in bundle:
+                    h |= subtree[w]
+                family.add(frozenset(h))
 
     members = sorted(family, key=lambda c: (len(c), sorted(c)))
     for i, c1 in enumerate(members):

@@ -131,13 +131,79 @@ def sampling_rate(g1: MultiGraph, epsilon: Num) -> tuple[Fraction, int]:
     return min(Fraction(1), raw), order
 
 
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) variate drawn through ``rng.random``.
+
+    A port of CPython 3.12's ``random.Random.binomialvariate`` (3.13's is the
+    same code) that consumes the same draws and returns the same values, so
+    it can give way to ``rng.binomialvariate`` once Python 3.12 is the
+    minimum.  Below n*p = 10 it counts geometric gaps between successes
+    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X); above, it
+    uses BTRS, transformed rejection with squeeze (Hörmann, "The generation
+    of binomial random variates", J. Stat. Comput. Simul. 46, 1993).
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if p <= 0.0 or p >= 1.0:
+        if p == 0.0:
+            return 0
+        if p == 1.0:
+            return n
+        raise ValueError("p must be in the range 0.0 <= p <= 1.0")
+
+    rand = rng.random
+    if n == 1:
+        return int(rand() < p)
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += math.floor(math.log2(rand()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    setup_complete = False
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    while True:
+        u = rand()
+        u -= 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rand()
+        if us >= 0.07 and v <= vr:
+            return k  # squeeze: accepted without evaluating the pmf
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)  # the mode
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 def sample_edges(g1: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SampleResult:
     """Keep every unit of multiplicity independently with probability p.
 
+    How many of an edge's ``mult`` units stay is one Binomial(mult, p) draw,
+    which has the law of ``mult`` independent Bernoulli(p) trials.
     Requires ``1/n < epsilon <= 1``; smaller epsilon must be routed to an
     exact solver by the caller.  When the computed rate reaches 1 the sample
     is the input graph itself.  Bit-for-bit reproducible for a fixed seed:
-    units are visited in canonical edge order on one seeded stream.
+    one binomial draw per edge in canonical edge order on one seeded stream.
     """
     if g1.mode != MULTI:
         raise InvalidInputError("sampling expects an unweighted multigraph")
@@ -154,7 +220,7 @@ def sample_edges(g1: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SampleR
     thresh = float(p)
     kept_edges = []
     for u, v, mult in sorted(g1.edges):
-        kept = sum(1 for _ in range(mult) if rng.random() < thresh)
+        kept = _binomial(rng, mult, thresh)
         if kept:
             kept_edges.append((u, v, kept))
     return SampleResult(MultiGraph(g1.n, tuple(kept_edges), MULTI), p, 1 / p, order)

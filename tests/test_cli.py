@@ -10,6 +10,8 @@ from kcut.cli import main
 TRIANGLE = "p 3 3 multi\n0 1 1\n1 2 1\n0 2 1\n"
 C4 = "p 4 4 multi\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n"
 BRIDGED = "p 6 7 multi\n0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 1\n"
+# An 8-cycle of 500-fold edges: at epsilon 1/2 the keep-rate is about 0.83.
+HEAVY_RING = "p 8 8 multi\n0 1 500\n1 2 500\n2 3 500\n3 4 500\n4 5 500\n5 6 500\n6 7 500\n0 7 500\n"
 
 
 def run_cli(argv, capsys):
@@ -154,9 +156,10 @@ class TestDeterminism:
 
 def golden_cases():
     """(arguments, stdout) pairs of ``cli_golden.txt``: a line of ``kcut run``
-    arguments, then the JSON line it printed for BRIDGED at seed 11.  A
-    change that alters the report on purpose records the file again and
-    says why."""
+    arguments, then the JSON line it printed at seed 11.  The input is
+    BRIDGED (``b.g``) unless the line names ``--input heavy_ring.g``, the
+    one sampled case (rate < 1).  A change that alters the report on purpose
+    records the file again and says why."""
     lines = (Path(__file__).parent / "cli_golden.txt").read_text().splitlines(keepends=True)
     return [(lines[i].strip(), lines[i + 1]) for i in range(0, len(lines), 2)]
 
@@ -167,9 +170,11 @@ class TestGoldenJson:
     at s = 0 sends it through the oversized branch."""
 
     @pytest.mark.parametrize("args,expected", golden_cases())
-    def test_matches_recorded_output(self, tmp_path, capsys, args, expected):
-        path = write(tmp_path, "b.g", BRIDGED)
-        code, out, _ = run_cli(["run", "--input", path, "--seed", "11", "--json"] + args.split(), capsys)
+    def test_matches_recorded_output(self, tmp_path, capsys, monkeypatch, args, expected):
+        write(tmp_path, "b.g", BRIDGED)
+        write(tmp_path, "heavy_ring.g", HEAVY_RING)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["run", "--input", "b.g", "--seed", "11", "--json"] + args.split(), capsys)
         assert code == 0
         assert out == expected
 

@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from kcut import cuts
+from kcut import cuts, sparsify
 from kcut.cuts import min_nontrivial_2cut, oracle_exact_kcut
 from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, cc, cut_weight
-from kcut.sparsify import sample_edges, sampling_rate, strip_cheap_2cuts
+from kcut.sparsify import _binomial, sample_edges, sampling_rate, strip_cheap_2cuts
 
 
 def two_triangles_bridge():
@@ -164,6 +165,20 @@ class TestSample:
         mean = acc / n_seeds
         assert abs(mean - w_true) <= Fraction(w_true) / 100
 
+    def test_one_binomial_draw_per_edge(self, monkeypatch):
+        # The 4000 units of heavy_ring cost a few draws per edge, not one each.
+        draws = []
+
+        class CountingRandom(random.Random):
+            def random(self):
+                draws.append(1)
+                return super().random()
+
+        monkeypatch.setattr(sparsify, "random", SimpleNamespace(Random=CountingRandom))
+        res = sample_edges(heavy_ring(), 2, Fraction(1, 2), seed=7)
+        assert res.rate < 1
+        assert 0 < len(draws) <= 10 * len(heavy_ring().edges)
+
     def test_subgraph_property(self):
         g = heavy_ring()
         res = sample_edges(g, 2, Fraction(1, 2), seed=3)
@@ -178,3 +193,91 @@ def heavy_ring():
     enough that the sampling rate 100 ln 8 / (eps^2 * 1000) stays below 1
     for eps = 1/2."""
     return MultiGraph.multi(8, [(i, (i + 1) % 8, 500) for i in range(8)])
+
+
+def binomial_pmf(n, p, x):
+    log_choose = math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+    return math.exp(log_choose + x * math.log(p) + (n - x) * math.log1p(-p))
+
+
+def chi_square_fits(samples, n, p):
+    """Pearson's test of ``samples`` against Binomial(n, p) at level 0.001.
+
+    Outcomes are pooled from each tail inwards until every cell expects at
+    least 5 draws; the critical value is the Wilson-Hilferty approximation
+    of the chi-square quantile (11.2 against the exact 10.8 at one degree of
+    freedom, closer at the 12-155 the other cases have)."""
+    draws = len(samples)
+    counts = [0] * (n + 1)
+    for x in samples:
+        counts[x] += 1
+    cells = []  # (observed, expected), tails pooled
+    obs = exp = 0.0
+    for x in range(n + 1):
+        obs += counts[x]
+        exp += draws * binomial_pmf(n, p, x)
+        if exp >= 5:
+            cells.append([obs, exp])
+            obs = exp = 0.0
+    cells[-1][0] += obs
+    cells[-1][1] += exp
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    df = len(cells) - 1
+    z = 3.0902  # upper 0.001 point of the standard normal
+    critical = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    return stat <= critical
+
+
+def variance_fits(samples, n, p):
+    """The sample variance lies within 10% of n p (1 - p)."""
+    mean = sum(samples) / len(samples)
+    var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
+    return abs(var - n * p * (1 - p)) <= 0.1 * n * p * (1 - p)
+
+
+class TestBinomialDraw:
+    """``_binomial`` against the exact Binomial(n, p) law, one case per
+    branch: n = 1, the geometric method (n p < 10), BTRS, and p > 1/2
+    through symmetry."""
+
+    CASES = [(1, 0.3), (40, 0.1), (500, 0.015), (3000, 0.3), (2000, 0.1), (2000, 0.7)]
+
+    @pytest.mark.parametrize("n,p", CASES)
+    def test_law(self, n, p):
+        rng = random.Random(f"binomial:{n}:{p}")
+        samples = [_binomial(rng, n, p) for _ in range(20000)]
+        assert all(0 <= x <= n for x in samples)
+        assert chi_square_fits(samples, n, p)
+        if n > 1:
+            assert variance_fits(samples, n, p)
+
+    def test_mean_only_stand_in_fails(self):
+        # round(n p) has the right mean and no spread; the checks above see it.
+        for n, p in self.CASES[1:]:
+            samples = [round(n * p)] * 20000
+            assert not variance_fits(samples, n, p)
+            assert not chi_square_fits(samples, n, p)
+
+    def test_float_edges_draw_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert [_binomial(rng, n, 0.0) for n in (0, 1, 7, 3000)] == [0, 0, 0, 0]
+        assert [_binomial(rng, n, 1.0) for n in (0, 1, 7, 3000)] == [0, 1, 7, 3000]
+        assert rng.getstate() == state
+
+    def test_rejects_out_of_range(self):
+        rng = random.Random(5)
+        for n, p in [(-1, 0.5), (3, -0.1), (3, 1.5)]:
+            with pytest.raises(ValueError):
+                _binomial(rng, n, p)
+
+    @pytest.mark.skipif(
+        not hasattr(random.Random, "binomialvariate"), reason="binomialvariate needs Python 3.12"
+    )
+    def test_same_stream_as_binomialvariate(self):
+        grid = [(1, 0.3), (5, 0.2), (40, 0.1), (500, 0.83), (2000, 0.1), (3000, 0.3), (2000, 0.7), (9, 1.0)]
+        for seed in range(100):
+            for n, p in grid:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert [_binomial(ours, n, p) for _ in range(3)] == [theirs.binomialvariate(n, p) for _ in range(3)]
+                assert ours.getstate() == theirs.getstate()
