@@ -28,7 +28,6 @@ from .decomposition import (
 from .dp import (
     ExactResult,
     FeasibleFamily,
-    NiceDecomposition,
     ProjectedTree,
     exact_values,
     feasible_family,
@@ -61,7 +60,6 @@ __all__ = [
     "InvalidInputError",
     "LeanWitness",
     "MultiGraph",
-    "NiceDecomposition",
     "OracleTooLargeError",
     "Partition",
     "ProjectedTree",

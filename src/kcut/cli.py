@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     g = read_graph(text)
@@ -185,6 +185,9 @@ def _cmd_generate(args) -> int:
         k, n = args.k, args.n
         if k < 1 or n < k:
             print("error: incompatible n and k", file=sys.stderr)
+            return 2
+        if args.cross < 0 or (args.cross > 0 and k < 2):
+            print("error: --cross must be 0, or positive with k >= 2", file=sys.stderr)
             return 2
         clusters = [list(range(c, n, k)) for c in range(k)]
         counts = {}

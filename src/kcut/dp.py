@@ -2,23 +2,22 @@
 solution size.
 
 The solver walks a compact edge-unbreakable tree decomposition bottom-up.
-At each node it guesses which edges of a spanning tree's projection onto
-the bag an optimal solution cuts, derives from that guess a coarse split of
-the bag into a center and loosely attached satellite parts, and then runs a
-knapsack-style composition over the children hanging off each satellite.
-A guess's components come straight from the projection, rooted once.
-Every knapsack level, a small bag's one or an oversized bag's center and
-satellites, scores the groupings of its pieces into at most k parts from
-one piece-pair weight matrix; a childless level keeps only per-key minima.
+At each node it guesses which 2k-2 edges (all, when fewer) of a spanning
+tree's projection onto the bag an optimal solution cuts, groups the
+guess's pieces (its components, straight from the projection rooted once,
+restricted to the bag) into at most k parts, and composes the node's
+children with each grouping through one knapsack.  Every grouping is
+scored from one piece-pair weight matrix; a childless node keeps only
+per-key minima.  Bags of every size take this one path (``_Engine``
+explains why it is exact).
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
-the bag, and each node is evaluated once over that union (``_Engine``
-explains why this is exact).  ``solve_exact`` adds the trees in batches
-and re-evaluates only the nodes a batch changed, so it can stop at the
-first batch that yields a cut within budget.  Every finite table entry
-corresponds to an actually constructible partition; traceback
-reconstruction re-verifies this by recomputing weights.
+the bag, and each node is evaluated once over that union.  ``solve_exact``
+adds the trees in batches and re-evaluates only the nodes a batch changed,
+so it can stop at the first batch that yields a cut within budget.  Every
+finite table entry corresponds to an actually constructible partition;
+traceback reconstruction re-verifies this by recomputing weights.
 
 Each call to ``solve_exact`` or ``exact_values`` builds its own
 decomposition and ``_Engine`` and drops both when it returns; the only
@@ -49,11 +48,6 @@ from .graph import (
 from .treepack import TreeFamily, enumerate_spanning_trees, pack_trees
 
 DEFAULT_TREE_CAP = 5000
-
-
-def tau_big(k: int, s: int) -> int:
-    """Bags at most this large take the single-candidate preprocessing branch."""
-    return 2 * k * (s + 1) ** 5
 
 
 def guess_budget(k: int) -> int:
@@ -353,62 +347,11 @@ def feasible_family(pt: ProjectedTree, k: int) -> FeasibleFamily:
     return FeasibleFamily(pt.x, tuple(unmask_partition(m) for m in masks))
 
 
-# -- nice decompositions ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NiceDecomposition:
-    """A bag split (coarse parts, refinement, center) steering the knapsack.
-
-    ``center`` is 0 (no center; then ``pprime`` has one part) or one of the
-    ``pprime`` masks.  ``qtilde`` refines ``pprime`` and leaves the center
-    whole; non-center parts see at most 2k-1 refinement pieces, share no
-    graph edge, and share no adhesion.
-    """
-
-    pprime: MaskPartition
-    qtilde: MaskPartition
-    center: int
-
-
-def validate_nice_decomposition(
-    nd: NiceDecomposition,
-    bag_mask: int,
-    edges: Sequence[tuple[int, int, int]],
-    adhesions: Sequence[int],
-    k: int,
-) -> None:
-    if sum(nd.pprime) != bag_mask or sum(nd.qtilde) != bag_mask:
-        raise AssertionError("nice decomposition must partition the bag")
-    for q in nd.qtilde:
-        if not any(q & p == q for p in nd.pprime):
-            raise AssertionError("refinement property violated")
-    if nd.center:
-        if nd.center not in nd.pprime or nd.center not in nd.qtilde:
-            raise AssertionError("center must be a part left whole")
-    elif len(nd.pprime) != 1:
-        raise AssertionError("empty center requires a single part")
-    satellites = [p for p in nd.pprime if p != nd.center]
-    for p in satellites:
-        pieces = sum(1 for q in nd.qtilde if q & p)
-        if pieces > 2 * k - 1:
-            raise AssertionError("satellite refined into too many pieces")
-    for u, v, _ in edges:
-        hu = [p for p in satellites if p >> u & 1]
-        hv = [p for p in satellites if p >> v & 1]
-        if hu and hv and hu[0] != hv[0]:
-            raise AssertionError("edge between satellites")
-    for a in adhesions:
-        touched = [p for p in satellites if p & a]
-        if len(touched) > 1:
-            raise AssertionError("adhesion spans two satellites")
-
-
 # -- engine -------------------------------------------------------------------
 
 
 class _Coarse:
-    """One candidate partition of a level mask, with cached bookkeeping."""
+    """One candidate partition of a bag, with cached bookkeeping."""
 
     __slots__ = ("parts", "nparts", "w_base", "at_proj", "child_items")
 
@@ -420,80 +363,36 @@ class _Coarse:
         self.child_items = child_items
 
 
-class _Level:
-    """Coarsening candidates for one knapsack level, indexed for fast eval.
-
-    Candidates group by their adhesion projection, () when the level does
-    not host the node's own adhesion.  Levels without children keep only
-    the per-(projection, part count) minima in ``best``, since nothing else
-    can matter.  ``_Engine._fill_level`` fills both kinds.
-    """
-
-    __slots__ = ("check_at", "childless", "by_at", "best")
-
-    def __init__(self, check_at: bool, childless: bool):
-        self.check_at = check_at
-        self.childless = childless
-        self.by_at: dict[MaskPartition, list[_Coarse]] = {}
-        self.best: dict[tuple, tuple[int, _Coarse]] = {}
-
-    def add(self, co: _Coarse) -> None:
-        # No weight filtering here: evaluation applies the budget clamp.
-        self.by_at.setdefault(co.at_proj if self.check_at else (), []).append(co)
-
-    def candidates(self, pa: MaskPartition) -> list[_Coarse]:
-        return self.by_at.get(pa if self.check_at else (), [])
-
-
-class _Skeleton:
-    """Levels of one knapsack run.  A sealed skeleton no longer changes; when
-    it also touches no child table (``static``), its evaluations are
-    memoized across its node's evaluations.  A small bag's one skeleton
-    grows with every tree and is never sealed."""
-
-    __slots__ = ("levels", "center", "static", "memo")
-
-    def __init__(self, levels: list[_Level], center: int):
-        self.levels = levels
-        self.center = center
-        self.static = False
-        self.memo: dict = {}
-
-    def seal(self) -> None:
-        self.static = all(lvl.childless for lvl in self.levels)
-
-
 @dataclass
 class _NodeCtx:
-    node: int
     bag_mask: int
     adh_mask: int
     gamma_mask: int
     children: list[int]
     child_adh: dict[int, int]
     bag_edges: list[tuple[int, int, int]]
-    gamma_edges: list[tuple[int, int, int]]
-    adhesions: list[int]
-    small: bool
 
 
 class _Cands:
-    """One node's candidates, the union over the trees taken in so far: its
-    skeletons and adhesion family, plus the bag and adhesion projections,
-    guesses (a small bag's pieces, an oversized bag's components), a small
-    bag's coarsenings and the nice decompositions already taken in, so that
-    each is built once per node."""
+    """One node's candidates, the union over the trees taken in so far.
 
-    __slots__ = ("skels", "family", "seen_proj", "seen_adh", "seen_pieces", "seen_parts", "seen_nd")
+    A node with children keeps every candidate partition of its bag as a
+    ``_Coarse`` in ``by_at``, grouped by adhesion projection; a childless
+    node keeps only the per-(projection, part count) minima in ``best``,
+    since nothing else can matter.  The adhesion family, the bag and
+    adhesion projections, the guesses' pieces and the partitions already
+    taken in make each of them built once per node."""
 
-    def __init__(self, skels: list[_Skeleton]):
-        self.skels = skels
+    __slots__ = ("by_at", "best", "family", "seen_proj", "seen_adh", "seen_pieces", "seen_parts")
+
+    def __init__(self):
+        self.by_at: dict[MaskPartition, list[_Coarse]] = {}
+        self.best: dict[tuple, tuple[int, _Coarse]] = {}
         self.family: set[MaskPartition] = set()
         self.seen_proj: set[tuple] = set()
         self.seen_adh: set[tuple] = set()
         self.seen_pieces: set[MaskPartition] = set()
         self.seen_parts: set[MaskPartition] = set()
-        self.seen_nd: set[tuple] = set()
 
 
 class _Engine:
@@ -516,7 +415,10 @@ class _Engine:
     that crosses an optimal k-cut at most 2k-2 times, and min-plus
     composition is monotone in the candidates and the child tables; so no
     entry lies above that tree's own DP entry.  Hence the root holds the
-    optimum once such a tree is in.
+    optimum once such a tree is in.  This holds at every bag size: such a
+    tree has at most 2k-2 projected edges whose ends the cut separates, so
+    some maximal guess holds them all, and grouping its pieces yields the
+    cut's restriction to the bag.
     """
 
     def __init__(self, g: MultiGraph, td: TreeDecomposition, k: int, s: int):
@@ -531,32 +433,17 @@ class _Engine:
         self._dirty: set[int] = set()
         self._wmemo: dict[MaskPartition, int] = {}
         for t in range(len(td)):
-            self._build_ctx(t)
-
-    def _build_ctx(self, t: int) -> None:
-        td = self.td
-        bag = td.bags[t]
-        gamma = td.gamma(t)
-        children = td.children(t)
-        child_adh = {c: _mask(td.adhesion(c)) for c in children}
-        ctx = _NodeCtx(
-            node=t,
-            bag_mask=_mask(bag),
-            adh_mask=_mask(td.adhesion(t)),
-            gamma_mask=_mask(gamma),
-            children=children,
-            child_adh=child_adh,
-            bag_edges=[(u, v, w) for u, v, w in self.g.edges if u in bag and v in bag],
-            gamma_edges=[(u, v, w) for u, v, w in self.g.edges if u in gamma and v in gamma],
-            adhesions=[child_adh[c] for c in children] + [_mask(td.adhesion(t))],
-            small=len(bag) <= tau_big(self.k, self.s),
-        )
-        self.ctxs[t] = ctx
-        if ctx.small:
-            lvl = _Level(check_at=True, childless=not children)
-            self.cands[t] = _Cands([_Skeleton([lvl], 0)])
-        else:
-            self.cands[t] = _Cands([])
+            bag = td.bags[t]
+            children = td.children(t)
+            self.ctxs[t] = _NodeCtx(
+                bag_mask=_mask(bag),
+                adh_mask=_mask(td.adhesion(t)),
+                gamma_mask=_mask(td.gamma(t)),
+                children=children,
+                child_adh={c: _mask(td.adhesion(c)) for c in children},
+                bag_edges=[(u, v, w) for u, v, w in g.edges if u in bag and v in bag],
+            )
+            self.cands[t] = _Cands()
 
     def crossing_weight(self, parts: MaskPartition, edges: Sequence[tuple[int, int, int]] | None = None) -> int:
         """Crossing weight of a mask partition within the induced subgraph
@@ -580,130 +467,13 @@ class _Engine:
         self._wmemo[parts] = total
         return total
 
-    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, kids: tuple[int, ...], w_base: int) -> _Coarse:
-        """A ``_Coarse`` of parts of (a level of) the bag weighing w_base."""
-        at_proj = _proj_masks(parts, ctx.adh_mask)
+    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, w_base: int) -> _Coarse:
+        """A ``_Coarse`` of parts of the bag weighing w_base."""
         items = []
-        for c in kids:
-            a = ctx.child_adh[c]
-            ckey = _proj_masks(parts, a)
-            w_adh = self.crossing_weight(ckey, ctx.bag_edges)
-            items.append((c, ckey, len(ckey), w_adh))
-        return _Coarse(parts, len(parts), w_base, at_proj, tuple(items))
-
-    # .. nice decomposition machinery (oversized bags) ..
-
-    def component_adjacency(self, ctx: _NodeCtx, comps: list[int]) -> list[set[int]]:
-        n = len(comps)
-        adj: list[set[int]] = [set() for _ in range(n)]
-
-        def owner(v: int) -> int:
-            for i, c in enumerate(comps):
-                if c >> v & 1:
-                    return i
-            return -1
-
-        for u, v, _ in ctx.gamma_edges:
-            iu, iv = owner(u), owner(v)
-            if iu >= 0 and iv >= 0 and iu != iv:
-                adj[iu].add(iv)
-                adj[iv].add(iu)
-        for a in ctx.adhesions:
-            touched = [i for i, c in enumerate(comps) if c & a]
-            for i in touched:
-                for j in touched:
-                    if i != j:
-                        adj[i].add(j)
-        return adj
-
-    def big_candidates(self, ctx: _NodeCtx, comps: list[int]) -> list[NiceDecomposition]:
-        """Nice decompositions of an oversized bag for one guess's
-        components, one per component subset of size at most 2k-1 (a
-        covering family for any avoid budget), repeats included and not yet
-        validated: ``_add_big_guess`` drops the repeats and validates the
-        rest."""
-        adjacency = self.component_adjacency(ctx, comps)
-        out: list[NiceDecomposition] = []
-        for r in range(0, min(2 * self.k - 1, len(comps)) + 1):
-            for pick in combinations(range(len(comps)), r):
-                nd = self._assemble(ctx, comps, adjacency, set(pick))
-                if nd is not None:
-                    out.append(nd)
-        return out
-
-    def _assemble(self, ctx: _NodeCtx, comps: list[int], adj: list[set[int]], pick: set[int]) -> NiceDecomposition | None:
-        q1 = 0
-        for i, c in enumerate(comps):
-            if i not in pick:
-                q1 |= c
-        visited: set[int] = set()
-        groups: list[list[int]] = []
-        for i in sorted(pick):
-            if i in visited:
-                continue
-            stack = [i]
-            visited.add(i)
-            grp = []
-            while stack:
-                a = stack.pop()
-                grp.append(a)
-                for b in adj[a]:
-                    if b in pick and b not in visited:
-                        visited.add(b)
-                        stack.append(b)
-            groups.append(sorted(grp))
-        center = q1
-        satellites: list[list[int]] = []
-        for grp in groups:
-            if len(grp) > 2 * self.k - 1:
-                for i in grp:
-                    center |= comps[i]
-            else:
-                satellites.append(grp)
-        qt_parts = [center] if center else []
-        pp_parts = [center] if center else []
-        for grp in satellites:
-            pp_parts.append(sum(comps[i] for i in grp))
-            qt_parts.extend(comps[i] for i in grp)
-        center_b = center & ctx.bag_mask
-        if not center_b:
-            return None
-        pp = _proj_masks(pp_parts, ctx.bag_mask)
-        qt = _proj_masks(qt_parts, ctx.bag_mask)
-        return NiceDecomposition(pp, qt, center_b)
-
-    def _skeleton_for(self, ctx: _NodeCtx, nd: NiceDecomposition) -> _Skeleton | None:
-        """Levels plus child assignment for one nice decomposition: the
-        center, then the center with each satellite.  None when a child's
-        adhesion fits no level."""
-        satellites = sorted(p for p in nd.pprime if p != nd.center)
-        level_masks = [nd.center] + [nd.center | p for p in satellites]
-        assign: list[list[int]] = [[] for _ in level_masks]
         for c in ctx.children:
-            a = ctx.child_adh[c]
-            if a == 0:
-                raise AssertionError("empty child adhesion under a connected graph")
-            hits = [li for li, p in enumerate(satellites) if a & p]
-            if len(hits) > 1:
-                return None
-            home = 0
-            if hits:
-                if a & ~(nd.center | satellites[hits[0]]):
-                    return None
-                home = hits[0] + 1
-            elif a & ~nd.center:
-                return None
-            assign[home].append(c)
-
-        skel = _Skeleton([], nd.center)
-        for li, mask in enumerate(level_masks):
-            pieces = tuple(sorted(q & mask for q in nd.qtilde if q & mask))
-            kids = tuple(assign[li])
-            lvl = _Level(check_at=ctx.adh_mask & ~mask == 0, childless=not kids)
-            self._fill_level(ctx, lvl, pieces, kids, set())
-            skel.levels.append(lvl)
-        skel.seal()
-        return skel
+            ckey = _proj_masks(parts, ctx.child_adh[c])
+            items.append((c, ckey, len(ckey), self.crossing_weight(ckey, ctx.bag_edges)))
+        return _Coarse(parts, len(parts), w_base, _proj_masks(parts, ctx.adh_mask), tuple(items))
 
     # .. taking trees in ..
 
@@ -727,98 +497,68 @@ class _Engine:
                     self._dirty.add(t)
 
     def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, edges: tuple) -> bool:
-        """Take in every guess of crossed edges of one bag projection, whose
-        components come straight from the projection rooted once; True if
-        the candidates grew.  A small bag takes only the maximal guesses
-        (its value is monotone under guess enlargement), an oversized bag
-        every guess of at most 2k-2 edges."""
+        """Take in every maximal guess of crossed edges of one bag
+        projection, min(2k-2, edges) of them, whose components come straight
+        from the projection rooted once; True if the candidates grew.  A
+        node's value is monotone under guess enlargement, since finer pieces
+        have every grouping coarser ones have."""
         below = _rooted_sides(vmask, edges)
         m = len(edges)
-        cap = min(guess_budget(self.k), m)
-        add = self._add_small_guess if ctx.small else self._add_big_guess
         grew = False
-        for r in (cap,) if ctx.small else range(cap + 1):
-            for guess in combinations(range(m), r):
-                grew |= add(ctx, cands, _cut_components(vmask, below, guess))
+        for guess in combinations(range(m), min(guess_budget(self.k), m)):
+            grew |= self._add_guess(ctx, cands, _cut_components(vmask, below, guess))
         return grew
 
-    def _add_small_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
-        """A small bag's one level takes the groupings of one guess's
-        pieces; pieces already taken in change nothing."""
+    def _add_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
+        """Take in the groupings of one guess's pieces, its components on the
+        bag, into at most k parts, the only ones that can fit a state; True
+        if the candidates grew.  Pieces already taken in change nothing.  A
+        childless node keeps the per-key minima of ``_grouping_minima``,
+        moving one only on a strictly smaller weight, so the first minimiser
+        in tree, guess and grouping order stays; a node with children keeps
+        every grouping not taken in before as a ``_Coarse``."""
         pieces = _proj_masks(comps, ctx.bag_mask)
         if pieces in cands.seen_pieces:
             return False
         cands.seen_pieces.add(pieces)
-        (lvl,) = cands.skels[0].levels
-        return self._fill_level(ctx, lvl, pieces, tuple(ctx.children), cands.seen_parts)
-
-    def _fill_level(
-        self, ctx: _NodeCtx, lvl: _Level, pieces: MaskPartition, kids: tuple[int, ...], seen: set[MaskPartition]
-    ) -> bool:
-        """Take into a level the groupings of its pieces into at most k
-        parts, the only ones that can fit a state; True if it grew.  Without
-        children the level keeps the per-key minima of ``_grouping_minima``,
-        moving one only on a strictly smaller weight, so the first minimiser
-        in tree, guess and grouping order stays; with children it keeps
-        every grouping not in ``seen``, the groupings earlier calls gave the
-        level, as a ``_Coarse`` under ``kids``."""
         grew = False
-        if lvl.childless:
-            for key, w, parts in self._grouping_minima(ctx, pieces, ctx.adh_mask if lvl.check_at else 0):
-                cur = lvl.best.get(key)
+        if not ctx.children:
+            for key, w, parts in self._grouping_minima(ctx, pieces):
+                cur = cands.best.get(key)
                 if cur is None or w < cur[0]:
-                    lvl.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
+                    cands.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
                     grew = True
             return grew
         labelings, weights, _ = self._grouping_weights(ctx, pieces, ())
         for lab, w in zip(labelings, weights):
             parts = tuple(sorted(_merged(pieces, lab, max(lab) + 1)))
-            if parts not in seen:
-                seen.add(parts)
-                lvl.add(self._make_coarse(ctx, parts, kids, w))
-                grew = True
-        return grew
-
-    def _add_big_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
-        """An oversized bag takes one skeleton per nice decomposition of the
-        guess not taken in before; components already taken in change
-        nothing."""
-        if tuple(comps) in cands.seen_pieces:
-            return False
-        cands.seen_pieces.add(tuple(comps))
-        grew = False
-        for nd in self.big_candidates(ctx, comps):
-            key = (nd.pprime, nd.qtilde, nd.center)
-            if key in cands.seen_nd:
-                continue
-            cands.seen_nd.add(key)
-            validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, self.k)
-            skel = self._skeleton_for(ctx, nd)
-            if skel is not None:
-                cands.skels.append(skel)
+            if parts not in cands.seen_parts:
+                cands.seen_parts.add(parts)
+                co = self._make_coarse(ctx, parts, w)
+                cands.by_at.setdefault(co.at_proj, []).append(co)
                 grew = True
         return grew
 
     def _grouping_weights(self, ctx: _NodeCtx, pieces: MaskPartition, touch: tuple[int, ...]) -> tuple:
-        """``_scoring``'s labelings and groups for one level's pieces, with
-        the crossing weight of each grouping.  One pass over the bag's edges
-        gives the weight between every two pieces, skipping edges that leave
-        the pieces; a grouping's crossing weight is the sum over the piece
-        pairs it separates."""
+        """``_scoring``'s labelings and groups for a bag's pieces, with the
+        crossing weight of each grouping.  One pass over the bag's edges
+        gives the weight between every two pieces; a grouping's crossing
+        weight is the sum over the piece pairs it separates."""
         c = len(pieces)
         labelings, pairs, groups = _scoring(c, self.k, touch)
         owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
         between = [0] * (c * c)
         for u, v, w in ctx.bag_edges:
-            a, b = owner.get(u), owner.get(v)
-            if a != b and a is not None and b is not None:
+            a, b = owner[u], owner[v]
+            if a != b:
                 between[a * c + b if a < b else b * c + a] += w
         return labelings, [sum(map(between.__getitem__, ab)) for ab in pairs], groups
 
-    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition, adh: int) -> tuple:
-        """Per (projection onto the adhesion mask ``adh``, part count <= k)
-        key, the weight and parts of the first lightest grouping of one
-        level's pieces, in label order."""
+    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
+        """Per (adhesion projection, part count <= k) key, the weight and
+        parts of the first lightest grouping of a bag's pieces, in label
+        order."""
+        adh = ctx.adh_mask
         touch = tuple(i for i, p in enumerate(pieces) if p & adh)
         labelings, weights, groups = self._grouping_weights(ctx, pieces, touch)
         adh_pieces = [pieces[j] & adh for j in touch]
@@ -852,143 +592,83 @@ class _Engine:
         table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
         for pa in sorted(self.cands[t].family):
             for i in range(1, self.k + 1):
-                best = self._best(t, pa, i)
+                best = self._eval(t, pa, i)
                 if best is not None:
                     table[(pa, i)] = best
                 self.states += 1
         self.tables[t] = table
 
-    def _best(self, t: int, pa: MaskPartition, i: int):
-        """The first lightest of the node's skeletons' values for one state."""
-        best = None
-        for si, skel in enumerate(self.cands[t].skels):
-            got = self._eval(skel, pa, i)
-            if got is not None and (best is None or got[0] < best[0]):
-                best = (got[0], (si, got[1]))
-        return best
-
-    def _eval(self, skel: _Skeleton, pa: MaskPartition, i: int):
-        if skel.static:
-            key = (pa, i)
-            if key in skel.memo:
-                return skel.memo[key]
-            got = self._eval_inner(skel, pa, i)
-            skel.memo[key] = got
-            return got
-        return self._eval_inner(skel, pa, i)
-
-    def _eval_inner(self, skel: _Skeleton, pa: MaskPartition, i: int):
+    def _eval(self, t: int, pa: MaskPartition, i: int):
+        """The value of one state within the budget, or None, with its
+        trace: the first lightest candidate and the (child, adhesion
+        projection, part count) entries a knapsack over the children picks
+        for it."""
         k, s = self.k, self.s
-        rows = []
-        for lvl in skel.levels:
-            row: dict[int, tuple[int, object]] = {}
-            if lvl.childless:
-                at = pa if lvl.check_at else ()
-                for r in range(1, i + 1):
-                    ent = lvl.best.get((at, r))
-                    if ent is not None and ent[0] <= s:
-                        row[r] = (ent[0], (ent[1], ()))
-                if not row:
-                    return None
-                rows.append(row)
+        cands = self.cands[t]
+        if not self.ctxs[t].children:
+            ent = cands.best.get((pa, i))
+            return (ent[0], (ent[1], ())) if ent is not None and ent[0] <= s else None
+        best = None
+        for co in cands.by_at.get(pa, ()):
+            if co.nparts > i or co.w_base > s:
                 continue
-            for co in lvl.candidates(pa):
-                if co.nparts > i or co.w_base > s:
-                    continue
-                nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
-                for child, ckey, b, w_adh in co.child_items:
-                    ctab = self.tables[child]
-                    nu2: dict[int, tuple[int, tuple]] = {}
-                    for r0, (v0, tr0) in nu.items():
-                        for ic in range(b, k + 1):
-                            r1 = r0 + ic - b
-                            if r1 > i:
-                                break
-                            ent = ctab.get((ckey, ic))
-                            if ent is None:
-                                continue
-                            v1 = v0 + ent[0] - w_adh
-                            if v1 > s:
-                                continue
-                            cur = nu2.get(r1)
-                            if cur is None or v1 < cur[0]:
-                                nu2[r1] = (v1, tr0 + ((child, ckey, ic),))
-                    nu = nu2
-                    if not nu:
-                        break
-                for r, (v, tr) in nu.items():
-                    cur = row.get(r)
-                    if cur is None or v < cur[0]:
-                        row[r] = (v, (co, tr))
-            if not row:
-                return None
-            rows.append(row)
-        acc = {j: (v, [tr]) for j, (v, tr) in rows[0].items()}
-        for extra in rows[1:]:
-            nxt: dict[int, tuple[int, list]] = {}
-            for j0, (v0, chain0) in acc.items():
-                for j1, (v1, tr1) in extra.items():
-                    j = j0 + j1 - 1  # the center part is shared
-                    if j > i:
-                        continue
-                    v = v0 + v1
-                    if v > s:
-                        continue
-                    cur = nxt.get(j)
-                    if cur is None or v < cur[0]:
-                        nxt[j] = (v, chain0 + [tr1])
-            acc = nxt
-            if not acc:
-                return None
-        return acc.get(i)
+            nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
+            for child, ckey, b, w_adh in co.child_items:
+                ctab = self.tables[child]
+                nu2: dict[int, tuple[int, tuple]] = {}
+                for r0, (v0, tr0) in nu.items():
+                    for ic in range(b, k + 1):
+                        r1 = r0 + ic - b
+                        if r1 > i:
+                            break
+                        ent = ctab.get((ckey, ic))
+                        if ent is None:
+                            continue
+                        v1 = v0 + ent[0] - w_adh
+                        if v1 > s:
+                            continue
+                        cur = nu2.get(r1)
+                        if cur is None or v1 < cur[0]:
+                            nu2[r1] = (v1, tr0 + ((child, ckey, ic),))
+                nu = nu2
+                if not nu:
+                    break
+            got = nu.get(i)
+            if got is not None and (best is None or got[0] < best[0]):
+                best = (got[0], (co, got[1]))
+        return best
 
     # .. traceback ..
 
     def reconstruct(self, t: int, pa: MaskPartition, i: int) -> MaskPartition:
         """Rebuild the witnessing partition of gamma(t); verifies itself."""
         ctx = self.ctxs[t]
-        value, (si, chain) = self.tables[t][(pa, i)]
-        skel = self.cands[t].skels[si]
-        assert len(chain) == len(skel.levels)
-        acc_parts: list[int] = []
-        for lvl, (co, child_choices) in zip(skel.levels, chain):
-            parts = list(co.parts)
-            for child, ckey, ic in child_choices:
-                sub = self.reconstruct(child, ckey, ic)
-                amask = ctx.child_adh[child]
-                for cp in sub:
-                    tr = cp & amask
-                    if tr:
-                        for j, q in enumerate(parts):
-                            if q & amask == tr:
-                                parts[j] = q | cp
-                                break
-                        else:
-                            raise AssertionError("child part has no gluing partner")
+        value, (co, child_choices) = self.tables[t][(pa, i)]
+        parts = list(co.parts)
+        for child, ckey, ic in child_choices:
+            sub = self.reconstruct(child, ckey, ic)
+            amask = ctx.child_adh[child]
+            for cp in sub:
+                tr = cp & amask
+                if tr:
+                    for j, q in enumerate(parts):
+                        if q & amask == tr:
+                            parts[j] = q | cp
+                            break
                     else:
-                        parts.append(cp)
-            if skel.center:
-                if not acc_parts:
-                    acc_parts = parts
+                        raise AssertionError("child part has no gluing partner")
                 else:
-                    host = next(j for j, q in enumerate(acc_parts) if q & skel.center)
-                    for q in parts:
-                        if q & skel.center:
-                            acc_parts[host] |= q
-                        else:
-                            acc_parts.append(q)
-            else:
-                acc_parts = parts
+                    parts.append(cp)
         total = 0
-        for q in acc_parts:
+        for q in parts:
             assert total & q == 0, "reconstructed parts overlap"
             total |= q
         assert total == ctx.gamma_mask, "reconstructed partition misses vertices"
-        assert len(acc_parts) == i
-        assert _proj_masks(acc_parts, ctx.adh_mask) == pa
-        w = self.crossing_weight(tuple(sorted(acc_parts)))
+        assert len(parts) == i
+        assert _proj_masks(parts, ctx.adh_mask) == pa
+        w = self.crossing_weight(tuple(sorted(parts)))
         assert w == value, f"traceback weight {w} != table value {value}"
-        return tuple(sorted(acc_parts))
+        return tuple(sorted(parts))
 
 
 def _values(table: dict) -> dict:
@@ -1148,9 +828,8 @@ def cut_guess_value(
     ctx = engine.ctxs[t]
     vmask, edges = _projection(*_rooting(tree, g.n), ctx.bag_mask)
     comps = _cut_components(vmask, _rooted_sides(vmask, edges), set(cprime))
-    add = engine._add_small_guess if ctx.small else engine._add_big_guess
-    add(ctx, engine.cands[t], comps)
-    best = engine._best(t, mask_partition(key[0]), key[1])
+    engine._add_guess(ctx, engine.cands[t], comps)
+    best = engine._eval(t, mask_partition(key[0]), key[1])
     return None if best is None else best[0]
 
 

@@ -98,6 +98,13 @@ class TestRunModes:
         code, _, err = run_cli(["run", "--input", "/nonexistent", "--k", "2", "--mode", "oracle"], capsys)
         assert code == 2
 
+    def test_non_utf8_file_exit2(self, tmp_path, capsys):
+        path = tmp_path / "binary.g"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\xfa p 2 1 multi\n0 1 1\n")
+        code, _, err = run_cli(["run", "--input", str(path), "--k", "2", "--mode", "oracle"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_approx_zero_weight_edge(self, tmp_path, capsys):
         # Two triangles joined only by a weight-0 record: the zero cut.
         text = "p 6 7 weighted\n0 1 1\n1 2 1\n0 2 1\n3 4 1\n4 5 1\n3 5 1\n2 3 0\n"
@@ -166,8 +173,8 @@ def golden_cases():
 
 class TestGoldenJson:
     """The JSON report stays byte-identical from one commit to the next, not
-    only from one run to the next; k = 3 at s = 0 keeps the bag small, k = 2
-    at s = 0 sends it through the oversized branch."""
+    only from one run to the next; the exact cases at s = 0 and 2 solve
+    ``b.g`` as one six-vertex bag."""
 
     @pytest.mark.parametrize("args,expected", golden_cases())
     def test_matches_recorded_output(self, tmp_path, capsys, monkeypatch, args, expected):
@@ -216,3 +223,10 @@ class TestGenerate:
     def test_incompatible_params_exit2(self, capsys):
         code, _, _ = run_cli(["generate", "--gen", "random", "--n", "1", "--m", "3"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("k,cross", [(1, 1), (2, -1)])
+    def test_planted_bad_cross_exit2(self, capsys, k, cross):
+        argv = ["generate", "--gen", "planted", "--n", "5", "--k", str(k), "--cross", str(cross)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: ")

@@ -9,12 +9,10 @@ from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import TreeDecomposition, build_unbreakable_decomposition
 from kcut.dp import (
     Partition,
-    _cut_components,
     _edge_pairs,
     _Engine,
     _mask,
     _projection,
-    _rooted_sides,
     _rooting,
     _values,
     compute_state,
@@ -24,7 +22,6 @@ from kcut.dp import (
     mask_partition,
     project_tree,
     solve_exact,
-    validate_nice_decomposition,
 )
 from kcut.graph import InvalidInputError, MultiGraph, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
@@ -61,10 +58,9 @@ def canon(p: Partition):
 
 class TestConstants:
     def test_budget_formulas(self):
-        from kcut.dp import guess_budget, tau_big
+        from kcut.dp import guess_budget
 
         assert guess_budget(3) == 4
-        assert tau_big(2, 1) == 4 * 32
 
 
 class TestProjectTree:
@@ -313,25 +309,6 @@ class TestCutGuess:
         assert min(vals) == 1
 
 
-class TestNiceDecompositions:
-    def test_big_branch_properties(self):
-        # s=0 puts any bag beyond 2k vertices in the oversized branch.
-        g = path_graph(7)
-        td = build_unbreakable_decomposition(g, 0)
-        assert len(td) == 1
-        engine = _Engine(g, td, 2, 0)
-        ctx = engine.ctxs[0]
-        assert not ctx.small
-        pt = project_tree(tuple((i, i + 1) for i in range(6)), td.bags[0])
-        vmask, edges = _mask(pt.vertices), _edge_pairs(pt)
-        comps = _cut_components(vmask, _rooted_sides(vmask, edges), {2})
-        nds = engine.big_candidates(ctx, comps)
-        assert nds
-        for nd in nds:
-            validate_nice_decomposition(nd, ctx.bag_mask, ctx.bag_edges, ctx.adhesions, 2)
-            assert nd.center != 0
-
-
 class TestKnapsackValue:
     """A single bag's value when its candidates come from one guess."""
 
@@ -544,42 +521,31 @@ class TestPastOracle:
 
 
 class TestOversizedBranch:
-    """With ``tau_big`` forced to 2 every bag of three or more vertices takes
-    the oversized branch (nice decompositions and multi-level skeletons);
-    its values and decisions must equal the small-bag branch's."""
+    """Seven 6-16 vertex graphs, each one bag at s = 0, six of them past
+    the paper's oversized-bag size 2k(s+1)^5 = 2k, where it splits a bag
+    into a center and satellites.  Every bag takes the one candidate
+    builder, so the decisions at s = 0..3 must match ``exact_values`` over
+    the decomposition at s = 3, and every candidate must weigh what its
+    parts cut."""
 
     CASES = [(502, 2), (506, 2), (510, 2), (514, 2), (503, 3), (511, 3), (513, 3)]
 
     @pytest.mark.parametrize("seed,k", CASES)
-    def test_matches_small_bag_branch(self, seed, k, monkeypatch):
+    def test_matches_small_bag_branch(self, seed, k):
         g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
         cap = 3
-        small = [v for v, _ in exact_values(g, k, cap)]
-        big_guesses = []
-        add_big = _Engine._add_big_guess
-
-        def counted(self, *args):
-            big_guesses.append(1)
-            return add_big(self, *args)
-
-        monkeypatch.setattr(_Engine, "_add_big_guess", counted)
-        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
-        big = [v for v, _ in exact_values(g, k, cap, construct=True)]
-        decisions = [solve_exact(g, k, s, mode="construct") for s in range(cap + 1)]
-        monkeypatch.undo()
-        assert big_guesses
-        assert big == small
-        for s, res in enumerate(decisions):
-            assert res.feasible == (small[k] is not None and small[k] <= s)
+        opt = exact_values(g, k, cap)[k][0]
+        for s in range(cap + 1):
+            res = solve_exact(g, k, s, mode="construct")
+            assert res.feasible == (opt is not None and opt <= s), s
             if res.feasible:
                 assert res.value == cut_weight(g, res.partition) <= s
 
     @pytest.mark.parametrize("seed,k", CASES[:2] + CASES[4:6])
-    def test_level_weights_count_inside_edges(self, seed, k, monkeypatch):
-        # A candidate weighs the edges inside its level only.  The union
-        # over skeletons can hide a wrong weight from the values, so every
-        # candidate of every level is checked against a direct count.
-        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
+    def test_level_weights_count_inside_edges(self, seed, k):
+        # A candidate weighs the edges inside its bag only.  The union over
+        # guesses can hide a wrong weight from the values, so every
+        # candidate of every node is checked against a direct count.
         g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
         engine = _Engine(g, build_unbreakable_decomposition(g, 3), k, 3)
         fam = dp_module._tree_family(g, k, None)
@@ -587,14 +553,12 @@ class TestOversizedBranch:
             engine.add_tree(fam.tree_edges(ti))
         checked = 0
         for cands in engine.cands.values():
-            for skel in cands.skels:
-                for lvl in skel.levels:
-                    coarse = [co for group in lvl.by_at.values() for co in group]
-                    for co in coarse + [co for _, co in lvl.best.values()]:
-                        level = sum(co.parts)
-                        inside = [(u, v, w) for u, v, w in g.edges if level >> u & 1 and level >> v & 1]
-                        assert co.w_base == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in co.parts))
-                        checked += 1
+            coarse = [co for group in cands.by_at.values() for co in group]
+            for co in coarse + [co for _, co in cands.best.values()]:
+                bag = sum(co.parts)
+                inside = [(u, v, w) for u, v, w in g.edges if bag >> u & 1 and bag >> v & 1]
+                assert co.w_base == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in co.parts))
+                checked += 1
         assert checked
 
 
@@ -613,8 +577,7 @@ class TestMetamorphic:
     the weights: a relabelled graph has the same optima, and multiplying
     every multiplicity and the cap by c multiplies them by c (an optimum
     over the cap stays None).  Run past the oracle on ``TestPastOracle``'s
-    clique rings (without its slowest case) and, with ``tau_big`` forced to
-    2, on ``TestOversizedBranch``'s graphs."""
+    clique rings and on ``TestOversizedBranch``'s graphs."""
 
     @staticmethod
     def check(g, k, cap, seed):
@@ -623,13 +586,12 @@ class TestMetamorphic:
         c = 2 + seed % 2
         assert [v for v, _ in exact_values(scaled(g, c), k, c * cap)] == [None if v is None else c * v for v in vals]
 
-    @pytest.mark.parametrize("seed,k", [c for c in TestPastOracle.CASES if c != (3, 3)])
+    @pytest.mark.parametrize("seed,k", TestPastOracle.CASES)
     def test_clique_rings(self, seed, k):
         self.check(clique_ring_graph(seed), k, 4, seed)
 
     @pytest.mark.parametrize("seed,k", TestOversizedBranch.CASES)
-    def test_oversized_branch(self, seed, k, monkeypatch):
-        monkeypatch.setattr(dp_module, "tau_big", lambda k, s: 2)
+    def test_oversized_branch(self, seed, k):
         self.check(connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8), k, 3, seed)
 
 
