@@ -4,9 +4,12 @@ force oracles used throughout the test and acceptance suites.
 All flow computations run on integer capacities.  Weighted graphs are scaled
 to a common denominator first, so every value returned here is exact.
 
-The global minimum 2-cut takes its order from one Stoer–Wagner pass and its
-side from bounded augmenting-path decisions on one residual network
-(``ResidualNetwork``); ``_Dinic`` serves the s-t cuts and vertex separators.
+Every flow runs on one engine, ``ResidualNetwork``: shortest augmenting
+paths on directed arcs, stopped once the flow exceeds a bound.  The global
+minimum 2-cut takes its order from one Stoer–Wagner pass and its side from
+bounded decisions on one network of the graph; the s-t cuts and the vertex
+separators (on the node-split arcs) are the same call with a bound no flow
+reaches.
 """
 
 from __future__ import annotations
@@ -39,116 +42,41 @@ class OracleTooLargeError(InvalidInputError):
     """Exact enumeration was requested beyond the supported instance size."""
 
 
-class _Dinic:
-    """Max-flow on integer capacities with deterministic arc order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, cap_uv: int, cap_vu: int = 0) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(cap_vu)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            flow += self._blocking_flow(s, t, level)
-
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        """Push one s-t path at a time along the level graph until none is left.
-
-        ``path`` is the stack of arcs from s to the current vertex.  A dead
-        end pops its arc and advances the parent's arc pointer, so each
-        vertex scans its arcs once per phase, in ``head`` order.
-        """
-        head, to, cap = self.head, self.to, self.cap
-        it = [0] * self.n
-        total = 0
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                pushed = min(cap[eid] for eid in path)
-                for eid in path:
-                    cap[eid] -= pushed
-                    cap[eid ^ 1] += pushed
-                total += pushed
-                path.clear()
-                u = s
-                continue
-            arcs = head[u]
-            while it[u] < len(arcs):
-                eid = arcs[it[u]]
-                if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
-                    break
-                it[u] += 1
-            else:
-                if u == s:
-                    return total
-                eid = path.pop()
-                u = to[eid ^ 1]
-                it[u] += 1
-                continue
-            path.append(eid)
-            u = to[eid]
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 class ResidualNetwork:
-    """The arcs of a multigraph, built once, for many bounded cut decisions.
+    """Directed arcs ``(u, v, cap_uv, cap_vu)`` on vertices ``0..n-1``, built
+    once, for many flow computations.
 
-    Each decision copies the initial capacities and augments along shortest
-    paths, so it costs at most s+2 breadth-first searches, O((s+1)·m).
+    ``of(g)`` gives each multigraph edge as the pair ``(u, v, w, w)``.  Each
+    flow copies the initial capacities and augments along shortest paths, so
+    a decision bounded by s costs at most s+2 breadth-first searches,
+    O((s+1)·m).  A full maximum flow is the same call with s at least the
+    total capacity out of the sources.
     """
 
-    def __init__(self, g: MultiGraph):
-        _require_multi(g)
-        self.n = g.n
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int, int]]):
+        self.n = n
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for u, v, w in g.edges:
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, cap_uv, cap_vu in arcs:
             self.adj[u].append((v, len(self.to)))
             self.to.append(v)
             self.adj[v].append((u, len(self.to)))
             self.to.append(u)
-            self.cap += (w, w)
+            self.cap += (cap_uv, cap_vu)
 
-    def small_cut_side(self, sources: Iterable[int], sinks: Iterable[int], s: int) -> frozenset[int] | None:
-        """The source side of a minimum sources-sinks cut if its order is at most s.
+    @classmethod
+    def of(cls, g: MultiGraph) -> ResidualNetwork:
+        _require_multi(g)
+        return cls(g.n, ((u, v, w, w) for u, v, w in g.edges))
 
-        The side is the set a residual search from the sources reaches after a
-        maximum flow, which is the unique minimal minimum-cut source side, so
-        it equals ``min_st_edge_cut(g, sources, sinks).cut.side_a``.  Returns
-        None as soon as the flow exceeds s.
+    def bounded_flow(
+        self, sources: Iterable[int], sinks: Iterable[int], s: int
+    ) -> tuple[int, list[int], list[int]] | None:
+        """A maximum sources-sinks flow if its value is at most s: the value,
+        the residual capacity of every arc, and the vertices a residual
+        search from the sources reaches.  Returns None as soon as the flow
+        exceeds s.  No augmenting path enters a source or leaves a sink.
         """
         adj, to = self.adj, self.to
         cap = self.cap[:]
@@ -174,7 +102,7 @@ class ResidualNetwork:
                 if hit >= 0:
                     break
             if hit < 0:
-                return frozenset(reached)
+                return flow, cap, reached
             path = []
             v = hit
             while via[v] != -2:
@@ -188,6 +116,17 @@ class ResidualNetwork:
             if flow > s:
                 return None
 
+    def small_cut_side(self, sources: Iterable[int], sinks: Iterable[int], s: int) -> frozenset[int] | None:
+        """The source side of a minimum sources-sinks cut if its order is at most s.
+
+        The side is the set a residual search from the sources reaches after a
+        maximum flow, which is the unique minimal minimum-cut source side, so
+        it equals ``min_st_edge_cut(g, sources, sinks).cut.side_a``.  Returns
+        None as soon as the flow exceeds s.
+        """
+        res = self.bounded_flow(sources, sinks, s)
+        return None if res is None else frozenset(res[2])
+
     def has_cut_at_most(self, s: int) -> bool:
         """Whether some 2-cut has order at most s: the global minimum cut is
         the minimum over t of the 0-t cut, so stop at the first small one."""
@@ -197,6 +136,12 @@ class ResidualNetwork:
 def _require_multi(g: MultiGraph) -> None:
     if g.mode != MULTI:
         raise InvalidInputError("this operation expects an unweighted multigraph")
+
+
+def _require_vertices(g: MultiGraph, terminals: list[int]) -> None:
+    for v in terminals:
+        if not 0 <= v < g.n:
+            raise InvalidInputError(f"terminal {v} is not a vertex of the {g.n}-vertex graph")
 
 
 def to_integer_multigraph(g: MultiGraph) -> tuple[MultiGraph, Fraction]:
@@ -229,27 +174,21 @@ class FlowResult:
 def min_st_edge_cut(g: MultiGraph, sources: Iterable[int], sinks: Iterable[int]) -> FlowResult:
     """Minimum total multiplicity separating ``sources`` from ``sinks``.
 
-    The returned cut keeps all sources on side A and all sinks on side B.
+    The returned cut keeps all sources on side A and all sinks on side B;
+    side A is the minimal one.
     """
     _require_multi(g)
     src = sorted(set(sources))
     snk = sorted(set(sinks))
     if not src or not snk:
         raise InvalidInputError("sources and sinks must be nonempty")
+    _require_vertices(g, src + snk)
     if set(src) & set(snk):
         raise InvalidInputError("sources and sinks overlap")
-    inf = sum(w for _, _, w in g.edges) + 1
-    net = _Dinic(g.n + 2)
-    s_node, t_node = g.n, g.n + 1
-    for u, v, w in g.edges:
-        net.add_arc(u, v, w, w)
-    for v in src:
-        net.add_arc(s_node, v, inf)
-    for v in snk:
-        net.add_arc(v, t_node, inf)
-    value = net.max_flow(s_node, t_node)
-    reach = net.residual_reachable(s_node)
-    side_a = frozenset(v for v in range(g.n) if v in reach)
+    res = ResidualNetwork.of(g).bounded_flow(src, snk, sum(w for _, _, w in g.edges))
+    assert res is not None
+    value, _, reached = res
+    side_a = frozenset(reached)
     cut = EdgeCut(side_a, frozenset(range(g.n)) - side_a, value)
     assert EdgeCut.of(g, side_a).order == value
     return FlowResult(value, cut)
@@ -283,61 +222,39 @@ def min_vertex_separator(g: MultiGraph, z1: Iterable[int], z2: Iterable[int]) ->
         raise InvalidInputError("terminal sets must have equal size")
     if not z1:
         raise InvalidInputError("terminal sets must be nonempty")
+    _require_vertices(g, z1 + z2)
     n = g.n
-    # v_in = 2v, v_out = 2v+1; source = 2n, sink = 2n+1.
-    inf = 2 * n + len(g.edges) * 2 + 2
-    net = _Dinic(2 * n + 2)
-    for v in range(n):
-        net.add_arc(2 * v, 2 * v + 1, 1)
+    # v_in = 2v, v_out = 2v+1.  Arc v is v's unit arc; each edge joins the
+    # out-nodes to the in-nodes with capacity n, more than any flow here.
+    arcs = [(2 * v, 2 * v + 1, 1, 0) for v in range(n)]
     for u, v, _ in g.edges:
-        net.add_arc(2 * u + 1, 2 * v, inf)
-        net.add_arc(2 * v + 1, 2 * u, inf)
-    for v in z1:
-        net.add_arc(2 * n, 2 * v, inf)
-    for v in z2:
-        net.add_arc(2 * v + 1, 2 * n + 1, inf)
-    order = net.max_flow(2 * n, 2 * n + 1)
-    reach = net.residual_reachable(2 * n)
+        arcs += ((2 * u + 1, 2 * v, n, 0), (2 * v + 1, 2 * u, n, 0))
+    net = ResidualNetwork(2 * n, arcs)
+    res = net.bounded_flow([2 * v for v in z1], [2 * v + 1 for v in z2], len(z1))
+    assert res is not None
+    order, cap, reached = res
+    reach = set(reached)
     sep = frozenset(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
     x1 = frozenset(v for v in range(n) if 2 * v + 1 in reach) | sep | frozenset(z1)
     x2 = frozenset(v for v in range(n) if 2 * v + 1 not in reach) | sep
-    paths = _unit_paths(net, n, order)
+    # Arc i's flow is the residual of its reverse, eid 2i+1, which started at
+    # 0.  Each vertex carries at most one unit, and no flow enters a z1 in-node
+    # or leaves a z2 out-node, so each path walks from a z1 vertex to a z2 one.
+    sinks = frozenset(z2)
     by_vertex = {}
-    for path in paths:
-        hits = [v for v in path if v in sep]
+    for v in z1:
+        if not cap[2 * v + 1]:
+            continue
+        path = [v]
+        while v not in sinks:
+            v = next(w // 2 for w, eid in net.adj[2 * v + 1] if eid % 2 == 0 and cap[eid + 1])
+            path.append(v)
+        hits = [x for x in path if x in sep]
         assert len(hits) == 1, "each Menger path passes exactly one separator vertex"
         by_vertex[hits[0]] = tuple(path)
     ordered = tuple(by_vertex[v] for v in sorted(sep))
     assert len(ordered) == order == len(sep)
     return SeparatorResult(x1, x2, sep, ordered)
-
-
-def _unit_paths(net: _Dinic, n: int, count: int) -> list[list[int]]:
-    """Decompose the node-split flow into ``count`` vertex paths.
-
-    Every arc in the separator network was added with an empty reverse arc,
-    so the flow on forward arc ``eid`` is exactly ``cap[eid ^ 1]``.
-    """
-    flow = [0] * len(net.to)
-    for eid in range(0, len(net.to), 2):
-        flow[eid] = net.cap[eid ^ 1]
-    src, dst = 2 * n, 2 * n + 1
-    paths: list[list[int]] = []
-    for _ in range(count):
-        node = src
-        verts: list[int] = []
-        while node != dst:
-            for eid in net.head[node]:
-                if eid % 2 == 0 and flow[eid] > 0:
-                    flow[eid] -= 1
-                    node = net.to[eid]
-                    if node < 2 * n and node % 2 == 0:
-                        verts.append(node // 2)
-                    break
-            else:
-                raise AssertionError("flow decomposition got stuck")
-        paths.append(verts)
-    return paths
 
 
 def _min_cut_value(g: MultiGraph) -> int:
@@ -401,7 +318,7 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
         side = comps.parts[0]
         return EdgeCut.of(g, side)
     order = _min_cut_value(g)
-    net = ResidualNetwork(g)
+    net = ResidualNetwork.of(g)
     # A sink t outside a found side S (found for sink t_S) adds nothing new:
     # S is a 0-t cut of order λ*, so λ(0,t) = λ* and S is a minimum 0-t
     # cut, hence the minimal side S_t ⊆ S.  Then t_S ∉ S_t, so S_t is a

@@ -219,7 +219,7 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
     q = frozenset(terminals)
     if len(q) < 2 * (s + 1):
         return None
-    net = ResidualNetwork(g)
+    net = ResidualNetwork.of(g)
     if not net.has_cut_at_most(s):
         return None  # no nontrivial cut of order <= s exists at all
 

@@ -6,7 +6,6 @@ import pytest
 from kcut.cuts import (
     OracleTooLargeError,
     ResidualNetwork,
-    _Dinic,
     _min_cut_value,
     approx2_kcut,
     global_min_2cut,
@@ -92,6 +91,20 @@ def brute_min_st_cut(g, sources, sinks):
     return best
 
 
+def brute_minimal_source_side(g, sources, sinks):
+    """The intersection of all minimum-order source sides, by enumeration."""
+    free = [v for v in range(g.n) if v not in sources and v not in sinks]
+    best, side = None, None
+    for bits in range(1 << len(free)):
+        cand = frozenset(sources) | {v for i, v in enumerate(free) if bits >> i & 1}
+        order = EdgeCut.of(g, cand).order
+        if best is None or order < best:
+            best, side = order, cand
+        elif order == best:
+            side &= cand
+    return side
+
+
 def brute_min_bipartition(g, nontrivial=True):
     best = None
     for bits in range(1, 1 << (g.n - 1)):
@@ -129,12 +142,21 @@ class TestMinStEdgeCut:
 
     def test_brute_force_equivalence(self):
         rng = random.Random(11)
-        for _ in range(40):
+        for _ in range(80):
             g = random_multigraph(rng, n_max=6, m_max=10)
             verts = list(range(g.n))
-            s = rng.choice(verts)
-            t = rng.choice([v for v in verts if v != s])
-            assert min_st_edge_cut(g, [s], [t]).value == brute_min_st_cut(g, [s], [t])
+            rng.shuffle(verts)
+            a = rng.randint(1, g.n - 1)
+            b = rng.randint(1, g.n - a)
+            src, snk = verts[:a], verts[a : a + b]
+            res = min_st_edge_cut(g, src, snk)
+            assert res.value == brute_min_st_cut(g, src, snk)
+            assert res.cut.side_a == brute_minimal_source_side(g, src, snk)
+
+    @pytest.mark.parametrize("sources,sinks", [([-1], [0]), ([0], [-1]), ([3], [0]), ([0], [1, 7])])
+    def test_out_of_range_terminal_rejected(self, sources, sinks):
+        with pytest.raises(InvalidInputError, match="not a vertex"):
+            min_st_edge_cut(path(3), sources, sinks)
 
 
 class TestGlobalMin2Cut:
@@ -166,6 +188,37 @@ class TestGlobalMin2Cut:
             assert cut.order >= 1
 
 
+def matrix_max_flow(g, s, t):
+    """Maximum s-t flow value and the residual reach of s, by depth-first
+    augmenting paths on a capacity matrix."""
+    cap = [[0] * g.n for _ in range(g.n)]
+    for u, v, w in g.edges:
+        cap[u][v] += w
+        cap[v][u] += w
+    value = 0
+    while True:
+        prev = {s: None}
+        stack = [s]
+        while stack and t not in prev:
+            u = stack.pop()
+            for v in range(g.n):
+                if cap[u][v] and v not in prev:
+                    prev[v] = u
+                    stack.append(v)
+        if t not in prev:
+            return value, frozenset(prev)
+        path = []
+        v = t
+        while prev[v] is not None:
+            path.append((prev[v], v))
+            v = prev[v]
+        pushed = min(cap[a][b] for a, b in path)
+        for a, b in path:
+            cap[a][b] -= pushed
+            cap[b][a] += pushed
+        value += pushed
+
+
 def reference_global_min_2cut(g):
     """The n-1 fresh max-flow loop global_min_2cut used to run: the least
     (order, sorted minimal 0-t side) over all sinks t."""
@@ -174,11 +227,8 @@ def reference_global_min_2cut(g):
         return EdgeCut.of(g, comps.parts[0])
     best = None
     for t in range(1, g.n):
-        net = _Dinic(g.n)
-        for u, v, w in g.edges:
-            net.add_arc(u, v, w, w)
-        value = net.max_flow(0, t)
-        key = (value, tuple(sorted(net.residual_reachable(0))))
+        value, reach = matrix_max_flow(g, 0, t)
+        key = (value, tuple(sorted(reach)))
         if best is None or key < best:
             best = key
     return EdgeCut.of(g, best[1])
@@ -280,6 +330,11 @@ class TestMinVertexSeparator:
         with pytest.raises(InvalidInputError):
             min_vertex_separator(path(3), [0], [1, 2])
 
+    @pytest.mark.parametrize("z1,z2", [([-1], [0]), ([0], [-1]), ([3], [0]), ([0, 1], [2, 5])])
+    def test_out_of_range_terminal_rejected(self, z1, z2):
+        with pytest.raises(InvalidInputError, match="not a vertex"):
+            min_vertex_separator(path(3), z1, z2)
+
     def test_menger_properties(self):
         rng = random.Random(23)
         for _ in range(40):
@@ -295,10 +350,13 @@ class TestMinVertexSeparator:
                 assert not ((u in excl1 and v in excl2) or (v in excl1 and u in excl2))
             assert set(z1) <= res.x1 and set(z2) <= res.x2
             # Paths are vertex-disjoint, terminal-to-terminal, one per separator vertex.
+            adj = g.neighbors()
             seen = set()
             for x, p in zip(sorted(res.separator), res.paths):
                 assert x in p
                 assert p[0] in z1 and p[-1] in z2
+                assert len(set(p)) == len(p)
+                assert all(b in adj[a] for a, b in zip(p, p[1:]))
                 assert not (set(p) & seen)
                 seen |= set(p)
             # Menger: no vertex set smaller than the separator disconnects z1 from z2.
@@ -330,8 +388,8 @@ def _brute_separator_order(g, z1, z2):
 
 
 class TestIterativeFlow:
-    """The max-flow walks arcs with an explicit stack; the expected values
-    below were recorded from the recursive implementation it replaced."""
+    """The flows run without recursion; the expected values below were
+    recorded from the recursive max-flow that came before."""
 
     def test_long_path_no_recursion_error(self):
         res = min_st_edge_cut(path(1500), [0], [1499])
@@ -367,7 +425,7 @@ class TestResidualNetwork:
             b = rng.randint(1, g.n - a)
             src, snk = verts[:a], verts[a : a + b]
             s = rng.randint(0, 3)
-            side = ResidualNetwork(g).small_cut_side(src, snk, s)
+            side = ResidualNetwork.of(g).small_cut_side(src, snk, s)
             res = min_st_edge_cut(g, src, snk)
             if res.value <= s:
                 assert side == res.cut.side_a
@@ -378,7 +436,7 @@ class TestResidualNetwork:
         rng = random.Random(19)
         for _ in range(100):
             g = random_multigraph(rng, n_max=9, m_max=16, connected=rng.random() < 0.7)
-            net = ResidualNetwork(g)
+            net = ResidualNetwork.of(g)
             order = global_min_2cut(g).order
             for s in range(4):
                 assert net.has_cut_at_most(s) == (order <= s)

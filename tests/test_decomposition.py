@@ -343,16 +343,18 @@ class TestWitnessSearchWork:
             raise AssertionError("the witness search must not run a full max-flow")
 
         built = []
+        init = cuts.ResidualNetwork.__init__
 
-        class CountingDinic(cuts._Dinic):
-            def __init__(self, n):
+        def counting_init(self, n, arcs):
+            arcs = list(arcs)
+            if any(cap_vu == 0 for _, _, _, cap_vu in arcs):  # node-split: one-way arcs
                 built.append(n)
-                super().__init__(n)
+            init(self, n, arcs)
 
         for module in (cuts, decomposition):
             monkeypatch.setattr(module, "min_st_edge_cut", forbidden, raising=False)
             monkeypatch.setattr(module, "global_min_2cut", forbidden, raising=False)
-        monkeypatch.setattr(cuts, "_Dinic", CountingDinic)
+        monkeypatch.setattr(cuts.ResidualNetwork, "__init__", counting_init)
         g = tree_plus_chords(1, 40, 10)
         td, log = build_unbreakable_decomposition(g, 1, with_log=True)
         validate_decomposition(td, g)
