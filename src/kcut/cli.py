@@ -230,10 +230,10 @@ RUN_COUNTERS = (
     "Work counters in the report: in exact mode, trees_tried is the number of "
     "spanning trees the DP had taken in when it decided (it adds them in "
     "batches of 1, 2, 4, ...; a no takes the whole family) and dp_states the "
-    "number of (decomposition node, adhesion projection, part count) states it "
-    "evaluated, re-evaluations after a batch included.  In approx mode, "
-    "stats.trees_used sums the family sizes and stats.dp_states the states of "
-    "the exact sweeps over the components."
+    "number of (decomposition node, adhesion projection carried by some "
+    "candidate, part count) states it evaluated, re-evaluations after a batch "
+    "included.  In approx mode, stats.trees_used sums the family sizes and "
+    "stats.dp_states the states of the exact sweeps over the components."
 )
 
 

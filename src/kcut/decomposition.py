@@ -579,7 +579,6 @@ def build_unbreakable_decomposition(
 def _build_connected(g: MultiGraph, s: int, log: list[int]) -> TreeDecomposition:
     td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
     while True:
-        td = cleanup(td)
         big = sorted(
             (t for t in range(len(td)) if len(td.bags[t]) > 2 * s + 1),
             key=lambda t: (-len(td.bags[t]), t),

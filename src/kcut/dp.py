@@ -13,11 +13,12 @@ explains why it is exact).
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
-the bag, and each node is evaluated once over that union.  ``solve_exact``
-adds the trees in batches and re-evaluates only the nodes a batch changed,
-so it can stop at the first batch that yields a cut within budget.  Every
-finite table entry corresponds to an actually constructible partition;
-traceback reconstruction re-verifies this by recomputing weights.
+the bag, and each node is evaluated once over that union, at the
+(adhesion projection, part count) states its candidates carry.
+``solve_exact`` adds the trees in batches and re-evaluates only the nodes a
+batch changed, so it can stop at the first batch that yields a cut within
+budget.  Every finite table entry corresponds to an actually constructible
+partition; traceback reconstruction re-verifies this by recomputing weights.
 
 Each call to ``solve_exact`` or ``exact_values`` builds its own
 decomposition and ``_Engine`` and drops both when it returns; the only
@@ -78,12 +79,6 @@ def _bits(mask: int) -> list[int]:
 
 def _proj_masks(parts: Sequence[int], mask: int) -> MaskPartition:
     return tuple(sorted(p & mask for p in parts if p & mask))
-
-
-def mask_partition(p: Partition) -> MaskPartition:
-    if p.is_empty():
-        return ()
-    return tuple(sorted(_mask(part) for part in p.parts))
 
 
 def unmask_partition(parts: MaskPartition) -> Partition:
@@ -379,18 +374,16 @@ class _Cands:
     A node with children keeps every candidate partition of its bag as a
     ``_Coarse`` in ``by_at``, grouped by adhesion projection; a childless
     node keeps only the per-(projection, part count) minima in ``best``,
-    since nothing else can matter.  The adhesion family, the bag and
-    adhesion projections, the guesses' pieces and the partitions already
-    taken in make each of them built once per node."""
+    since nothing else can matter.  The bag projections, the guesses'
+    pieces and the partitions already taken in make each of them built
+    once per node."""
 
-    __slots__ = ("by_at", "best", "family", "seen_proj", "seen_adh", "seen_pieces", "seen_parts")
+    __slots__ = ("by_at", "best", "seen_proj", "seen_pieces", "seen_parts")
 
     def __init__(self):
         self.by_at: dict[MaskPartition, list[_Coarse]] = {}
         self.best: dict[tuple, tuple[int, _Coarse]] = {}
-        self.family: set[MaskPartition] = set()
         self.seen_proj: set[tuple] = set()
-        self.seen_adh: set[tuple] = set()
         self.seen_pieces: set[MaskPartition] = set()
         self.seen_parts: set[MaskPartition] = set()
 
@@ -402,23 +395,29 @@ class _Engine:
     budget s, and dropped when the call returns.
 
     ``add_tree`` takes one tree into every node's candidates, building them
-    once per distinct projection of the tree onto the bag and uniting the
-    adhesion family once per distinct projection onto the adhesion.
-    ``evaluate`` then recomputes, bottom-up, each node whose candidates
-    grew or whose children's values changed.
+    once per distinct projection of the tree onto the bag.  ``evaluate``
+    then recomputes, bottom-up, each node whose candidates grew or whose
+    children's values changed.
 
     One evaluation over the union is exact.  Every table entry is realised
     by a partition of gamma(t) with its adhesion projection, part count and
     weight, since traceback rebuilds that partition and recomputes its
-    weight; so no entry lies below the optimum.  Each node's candidates and
-    adhesion family contain those of every tree taken in, among them a tree
-    that crosses an optimal k-cut at most 2k-2 times, and min-plus
-    composition is monotone in the candidates and the child tables; so no
-    entry lies above that tree's own DP entry.  Hence the root holds the
-    optimum once such a tree is in.  This holds at every bag size: such a
-    tree has at most 2k-2 projected edges whose ends the cut separates, so
-    some maximal guess holds them all, and grouping its pieces yields the
-    cut's restriction to the bag.
+    weight; so no entry lies below the optimum.  Each node's candidates
+    contain those of every tree taken in, among them a tree that crosses an
+    optimal k-cut at most 2k-2 times, and min-plus composition is monotone
+    in the candidates and the child tables; so no entry lies above that
+    tree's own DP entry.  Hence the root holds the optimum once such a tree
+    is in.  This holds at every bag size: such a tree has at most 2k-2
+    projected edges whose ends the cut separates, so some maximal guess
+    holds them all, and grouping its pieces yields the cut's restriction to
+    the bag.
+
+    A node's states are the (adhesion projection, part count) pairs whose
+    projection a candidate carries.  Each lies in the tree's feasible family
+    of adhesion partitions, over which the paper ranges them: cutting one
+    tree edge per bag projection edge a candidate cuts leaves its pieces on
+    the bag, so a cut of the adhesion projection at no more edges leaves
+    them on the adhesion.  The family's other states hold no entry.
     """
 
     def __init__(self, g: MultiGraph, td: TreeDecomposition, k: int, s: int):
@@ -478,8 +477,8 @@ class _Engine:
     # .. taking trees in ..
 
     def add_tree(self, tree: Sequence[tuple[int, int]]) -> None:
-        """Take one family tree into every node's candidates and adhesion
-        family; nodes whose candidates grow are evaluated next time."""
+        """Take one family tree into every node's candidates; nodes whose
+        candidates grow are evaluated next time."""
         order, parent = _rooting(tree, self.g.n)
         for t, ctx in self.ctxs.items():
             cands = self.cands[t]
@@ -487,13 +486,6 @@ class _Engine:
             if key not in cands.seen_proj:
                 cands.seen_proj.add(key)
                 if self._add_projection(ctx, cands, *key):
-                    self._dirty.add(t)
-            akey = _projection(order, parent, ctx.adh_mask) if ctx.adh_mask else (0, ())
-            if akey not in cands.seen_adh:
-                cands.seen_adh.add(akey)
-                fam = _feasible_masks(ctx.adh_mask, *akey, self.k)
-                if not fam <= cands.family:
-                    cands.family |= fam
                     self._dirty.add(t)
 
     def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, edges: tuple) -> bool:
@@ -589,27 +581,29 @@ class _Engine:
         self._dirty.clear()
 
     def _solve_node(self, t: int) -> None:
+        """The node's table; a childless node's is its per-key minima."""
+        cands = self.cands[t]
+        if not self.ctxs[t].children:
+            self.tables[t] = {key: (w, (co, ())) for key, (w, co) in cands.best.items() if w <= self.s}
+            self.states += len({pa for pa, _ in cands.best}) * self.k
+            return
         table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
-        for pa in sorted(self.cands[t].family):
+        for pa in sorted(cands.by_at):
             for i in range(1, self.k + 1):
                 best = self._eval(t, pa, i)
                 if best is not None:
                     table[(pa, i)] = best
-                self.states += 1
+        self.states += len(cands.by_at) * self.k
         self.tables[t] = table
 
     def _eval(self, t: int, pa: MaskPartition, i: int):
-        """The value of one state within the budget, or None, with its
-        trace: the first lightest candidate and the (child, adhesion
-        projection, part count) entries a knapsack over the children picks
-        for it."""
+        """The value within the budget, or None, of one state of a node with
+        children that some candidate carries, with its trace: the first
+        lightest candidate and the (child, adhesion projection, part count)
+        entries a knapsack over the children picks for it."""
         k, s = self.k, self.s
-        cands = self.cands[t]
-        if not self.ctxs[t].children:
-            ent = cands.best.get((pa, i))
-            return (ent[0], (ent[1], ())) if ent is not None and ent[0] <= s else None
         best = None
-        for co in cands.by_at.get(pa, ()):
+        for co in self.cands[t].by_at[pa]:
             if co.nparts > i or co.w_base > s:
                 continue
             nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
@@ -687,10 +681,41 @@ class ExactResult:
     dp_states: int
 
 
+def _spanning_tree_count(g: MultiGraph) -> int:
+    """The number of spanning trees ``enumerate_spanning_trees`` lists, one
+    unit per edge class: Kirchhoff's determinant of the Laplacian with the
+    last row and column removed, by fraction-free (Bareiss) elimination.
+    The matrix is positive semidefinite, so a zero pivot means a zero
+    determinant (g is disconnected)."""
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    size = g.n - 1
+    prev = 1
+    for i in range(size):
+        piv = lap[i][i]
+        if piv == 0:
+            return 0
+        for r in range(i + 1, size):
+            row, f = lap[r], lap[r][i]
+            for c in range(i + 1, size):
+                row[c] = (row[c] * piv - f * lap[i][c]) // prev
+        prev = piv
+    return prev
+
+
 def _tree_family(g: MultiGraph, k: int, trees: TreeFamily | None) -> TreeFamily:
+    """The given family, else every spanning tree when there are at most
+    ``DEFAULT_TREE_CAP`` of them on at most 10 vertices, else a packing.  A
+    truncated enumeration would share its lowest-indexed edges across all
+    its trees and can miss every tree that crosses an optimum at most 2k-2
+    times."""
     if trees is not None:
         return trees
-    if g.n <= 10:
+    if g.n <= 10 and _spanning_tree_count(g) <= DEFAULT_TREE_CAP:
         return enumerate_spanning_trees(g, cap=DEFAULT_TREE_CAP)
     count = min(200, max(1, math.ceil(k**3 * math.log(g.m + 2))))
     return pack_trees(g, count)
@@ -783,58 +808,3 @@ def exact_values(
         stats_out["trees"] = stats_out.get("trees", 0) + len(fam)
         stats_out["states"] = stats_out.get("states", 0) + engine.states
     return best
-
-
-def compute_state(
-    g: MultiGraph,
-    td: TreeDecomposition,
-    tree: Sequence[tuple[int, int]],
-    t: int,
-    key: tuple[Partition, int],
-    child_tables: dict[int, dict[tuple[Partition, int], int]],
-    s: int,
-    k: int,
-) -> int | None:
-    """Single DP state f_t(key) of the DP fed one tree, given complete child
-    tables; None plays the role of infinity (no realizing partition of
-    weight at most s, or an adhesion projection outside the tree's
-    feasible family)."""
-    engine = _prepared_engine(g, td, k, s, child_tables)
-    for c in td.children(t):
-        if c not in engine.tables:
-            raise InvalidInputError(f"child table for node {c} missing")
-    engine.add_tree(tree)
-    engine._solve_node(t)
-    ent = engine.tables[t].get((mask_partition(key[0]), key[1]))
-    return None if ent is None else ent[0]
-
-
-def cut_guess_value(
-    g: MultiGraph,
-    td: TreeDecomposition,
-    tree: Sequence[tuple[int, int]],
-    t: int,
-    key: tuple[Partition, int],
-    cprime: Iterable[int],
-    child_tables: dict[int, dict[tuple[Partition, int], int]],
-    s: int,
-    k: int,
-) -> int | None:
-    """Value of the DP state when node t takes its candidates from one
-    guess of crossed projection edges (indices into the bag projection's
-    edge list) alone; an upper bound on the true state value, tight for
-    the right guess."""
-    engine = _prepared_engine(g, td, k, s, child_tables)
-    ctx = engine.ctxs[t]
-    vmask, edges = _projection(*_rooting(tree, g.n), ctx.bag_mask)
-    comps = _cut_components(vmask, _rooted_sides(vmask, edges), set(cprime))
-    engine._add_guess(ctx, engine.cands[t], comps)
-    best = engine._eval(t, mask_partition(key[0]), key[1])
-    return None if best is None else best[0]
-
-
-def _prepared_engine(g, td, k, s, child_tables) -> _Engine:
-    engine = _Engine(g, td, k, s)
-    for c, tab in child_tables.items():
-        engine.tables[c] = {(mask_partition(p), i): (v, None) for (p, i), v in tab.items()}
-    return engine

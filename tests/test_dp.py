@@ -9,17 +9,16 @@ from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import TreeDecomposition, build_unbreakable_decomposition
 from kcut.dp import (
     Partition,
+    _cut_components,
     _edge_pairs,
     _Engine,
     _mask,
     _projection,
+    _rooted_sides,
     _rooting,
     _values,
-    compute_state,
-    cut_guess_value,
     exact_values,
     feasible_family,
-    mask_partition,
     project_tree,
     solve_exact,
 )
@@ -54,6 +53,49 @@ def random_tree(rng, n):
 
 def canon(p: Partition):
     return tuple(sorted(tuple(sorted(q)) for q in p.parts))
+
+
+def mask_partition(p: Partition):
+    if p.is_empty():
+        return ()
+    return tuple(sorted(_mask(part) for part in p.parts))
+
+
+def _prepared_engine(g, td, k, s, child_tables):
+    """An engine whose children's tables are given as {(partition, i): value}."""
+    engine = _Engine(g, td, k, s)
+    for c, tab in child_tables.items():
+        engine.tables[c] = {(mask_partition(p), i): (v, None) for (p, i), v in tab.items()}
+    return engine
+
+
+def _state_value(engine, t, key):
+    engine._solve_node(t)
+    ent = engine.tables[t].get((mask_partition(key[0]), key[1]))
+    return None if ent is None else ent[0]
+
+
+def compute_state(g, td, tree, t, key, child_tables, s, k):
+    """Single DP state f_t(key) of the DP fed one tree, given complete child
+    tables; None plays the role of infinity (no realizing partition of
+    weight at most s, or an adhesion projection no candidate carries)."""
+    engine = _prepared_engine(g, td, k, s, child_tables)
+    assert all(c in engine.tables for c in td.children(t)), "child table missing"
+    engine.add_tree(tree)
+    return _state_value(engine, t, key)
+
+
+def cut_guess_value(g, td, tree, t, key, cprime, child_tables, s, k):
+    """Value of the DP state when node t takes its candidates from one
+    guess of crossed projection edges (indices into the bag projection's
+    edge list) alone; an upper bound on the true state value, tight for
+    the right guess."""
+    engine = _prepared_engine(g, td, k, s, child_tables)
+    ctx = engine.ctxs[t]
+    vmask, edges = _projection(*_rooting(tree, g.n), ctx.bag_mask)
+    comps = _cut_components(vmask, _rooted_sides(vmask, edges), set(cprime))
+    engine._add_guess(ctx, engine.cands[t], comps)
+    return _state_value(engine, t, key)
 
 
 class TestConstants:
@@ -204,6 +246,52 @@ class TestSolveExact:
                 assert res.feasible == (opt <= s)
                 if res.feasible:
                     assert res.value == cut_weight(g, res.partition) <= s
+
+
+def dense_blocks(seed):
+    """8-10 vertices in k = 2-3 random blocks, each pair present with
+    probability 0.8, multiplicity 5-12 inside a block and 1-2 across."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 10)
+    k = rng.choice([2, 3])
+    block = [rng.randrange(k) for _ in range(n)]
+    edges = [
+        (u, v, rng.randint(5, 12) if block[u] == block[v] else rng.randint(1, 2))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.8
+    ]
+    return MultiGraph.multi(n, edges), k
+
+
+class TestDefaultFamily:
+    """Without a given family, graphs of at most 10 vertices enumerate
+    their spanning trees only when all of them fit under the cap; a
+    truncated enumeration can miss every tree the DP needs."""
+
+    def test_tree_count_matches_enumeration(self):
+        for seed in range(40):
+            g = connected_multigraph(seed, n_lo=2, n_hi=8, extra_hi=10)
+            assert dp_module._spanning_tree_count(g) == len(enumerate_spanning_trees(g, cap=10**6)), seed
+        assert dp_module._spanning_tree_count(MultiGraph.multi(1, [])) == 1
+        k8 = MultiGraph.multi(8, [(i, j, 3) for i in range(8) for j in range(i + 1, 8)])
+        assert dp_module._spanning_tree_count(k8) == 8**6
+
+    def test_k10_two_blocks(self):
+        # The first 5000 enumerated trees all cross {A, B} at least 4 times.
+        a = {0, 5, 6, 7, 8, 9}
+        g = MultiGraph.multi(
+            10, [(u, v, 10 if (u in a) == (v in a) else 1) for u in range(10) for v in range(u + 1, 10)]
+        )
+        res = solve_exact(g, 2, 24, mode="construct")
+        assert res.feasible and res.value == 24 == cut_weight(g, res.partition)
+
+    def test_dense_blocks_match_oracle(self):
+        for seed in range(20):
+            g, k = dense_blocks(seed)
+            _, opt = oracle_exact_kcut(g, k)
+            for s in (opt - 1, opt):
+                assert solve_exact(g, k, s).feasible == (opt <= s), (seed, s)
 
 
 class TestExactValues:
@@ -446,17 +534,20 @@ class TestUnionEngine:
         assert multi_node >= 2
 
     def test_union_of_families_and_no_worse_than_each_tree(self):
+        # The states range over the adhesion projections the candidates
+        # carry; each lies in the feasible family of some tree taken in.
         for g, k, s, td, fam in self._cases():
             union = _Engine(g, td, k, s)
             for ti in range(len(fam)):
                 union.add_tree(fam.tree_edges(ti))
             union.evaluate()
             for t in range(len(td)):
-                want = set()
+                family = set()
                 for ti in range(len(fam)):
                     pt = project_tree(fam.tree_edges(ti), td.adhesion(t))
-                    want |= {mask_partition(p) for p in feasible_family(pt, k).partitions}
-                assert union.cands[t].family == want, t
+                    family |= {mask_partition(p) for p in feasible_family(pt, k).partitions}
+                carried = set(union.cands[t].by_at) | {pa for pa, _ in union.cands[t].best}
+                assert carried and carried <= family, t
             root = _values(union.tables[td.root])
             for ti in range(len(fam)):
                 single = _Engine(g, td, k, s)
