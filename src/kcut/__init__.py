@@ -4,6 +4,11 @@ Exact solving on unweighted multigraphs via spanning-tree-guided dynamic
 programming over edge-unbreakable tree decompositions, plus the rounding,
 stripping, and sampling stages that turn it into a (1+epsilon)
 approximation scheme for weighted graphs.
+
+The package exports what ``solve``, ``solve_exact``, ``exact_values``, the
+CLI and the benchmark call, and the exact baselines they are checked
+against.  Reference code that only the tests compare against lives in the
+test suite, not here.
 """
 
 __version__ = "0.1.0"
@@ -25,15 +30,7 @@ from .decomposition import (
     potential,
     validate_decomposition,
 )
-from .dp import (
-    ExactResult,
-    FeasibleFamily,
-    ProjectedTree,
-    exact_values,
-    feasible_family,
-    project_tree,
-    solve_exact,
-)
+from .dp import ExactResult, exact_values, solve_exact
 from .graph import (
     EdgeCut,
     InvalidInputError,
@@ -42,27 +39,23 @@ from .graph import (
     RoundResult,
     connected_components,
     cut_weight,
-    project,
     read_graph,
-    refines,
     round_to_multigraph,
     write_graph,
 )
 from .scheme import SchemeResult, SchemeStats, combine_components, solve
 from .sparsify import SampleResult, StripResult, sample_edges, strip_cheap_2cuts
-from .treepack import TreeFamily, crossings, enumerate_spanning_trees, pack_trees
+from .treepack import TreeFamily, enumerate_spanning_trees, pack_trees
 
 __all__ = [
     "EdgeCut",
     "ExactResult",
-    "FeasibleFamily",
     "FlowResult",
     "InvalidInputError",
     "LeanWitness",
     "MultiGraph",
     "OracleTooLargeError",
     "Partition",
-    "ProjectedTree",
     "RoundResult",
     "SampleResult",
     "SchemeResult",
@@ -74,11 +67,9 @@ __all__ = [
     "build_unbreakable_decomposition",
     "combine_components",
     "connected_components",
-    "crossings",
     "cut_weight",
     "enumerate_spanning_trees",
     "exact_values",
-    "feasible_family",
     "global_min_2cut",
     "is_compact",
     "min_st_edge_cut",
@@ -86,10 +77,7 @@ __all__ = [
     "oracle_exact_kcut",
     "pack_trees",
     "potential",
-    "project",
-    "project_tree",
     "read_graph",
-    "refines",
     "round_to_multigraph",
     "sample_edges",
     "solve",

@@ -1,5 +1,6 @@
-"""Flow based cut utilities, the greedy k-cut 2-approximation, and brute
-force oracles used throughout the test and acceptance suites.
+"""Flow based cut utilities, the greedy k-cut 2-approximation, and the
+brute-force enumeration oracle: the CLI's oracle mode, the scheme's exact
+path up to 14 vertices, and the reference of the test and acceptance suites.
 
 All flow computations run on integer capacities.  Weighted graphs are scaled
 to a common denominator first, so every value returned here is exact.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -30,12 +30,9 @@ from .graph import (
     Partition,
     connected_components,
     cut_weight,
-    uf_find,
-    uf_union,
 )
 
 ORACLE_ENUM_LIMIT = 14
-ORACLE_CONTRACT_RUNS = 10**6
 
 
 class OracleTooLargeError(InvalidInputError):
@@ -433,7 +430,7 @@ def _approx2_kcut(g: MultiGraph, k: int, memo: dict[MultiGraph, EdgeCut]) -> tup
     return partition, w_a
 
 
-# -- exact oracles ----------------------------------------------------------
+# -- exact oracle -----------------------------------------------------------
 
 
 def _partitions_into_k(n: int, k: int):
@@ -455,98 +452,31 @@ def _partitions_into_k(n: int, k: int):
     yield from rec(1, 1) if n else iter(())
 
 
-def oracle_exact_kcut(
-    g: MultiGraph,
-    k: int,
-    method: str = "enumerate",
-    seed: int = 0,
-    runs: int | None = None,
-) -> tuple[Partition, Num]:
-    """Exact (or, in contraction mode, whp-exact) minimum k-cut.
-
-    ``enumerate`` exhausts all set partitions into exactly k nonempty parts
-    and refuses instances with more than 14 vertices.  ``contract`` runs
-    repeated random contractions and keeps the best of ``runs`` tries.  By
-    default it runs ``ceil(n^(2k-2) ln n)`` of them, the count behind the
-    whp guarantee, and refuses instances where that exceeds 10^6; an
-    explicit ``runs`` is always honoured but carries no guarantee.
-    """
+def oracle_exact_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
+    """Exact minimum k-cut by exhausting all set partitions into exactly k
+    nonempty parts; refuses instances with more than 14 vertices."""
     if not 1 <= k <= g.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
-    h, scale = to_integer_multigraph(g)
-    if method == "enumerate":
-        if g.n > ORACLE_ENUM_LIMIT:
-            raise OracleTooLargeError(
-                f"enumeration oracle supports at most {ORACLE_ENUM_LIMIT} vertices, got {g.n}"
-            )
-        best_val: int | None = None
-        best_labels: tuple[int, ...] | None = None
-        edges = h.edges
-        for labels in _partitions_into_k(g.n, k):
-            val = 0
-            for u, v, w in edges:
-                if labels[u] != labels[v]:
-                    val += w
-                    if best_val is not None and val >= best_val:
-                        break
-            else:
-                if best_val is None or val < best_val:
-                    best_val, best_labels = val, labels
-        assert best_labels is not None
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(best_labels):
-            groups.setdefault(c, []).append(v)
-        partition = Partition.from_parts(groups.values())
-    elif method == "contract":
-        if runs is None:
-            runs = max(1, math.ceil(g.n ** (2 * (k - 1)) * math.log(max(g.n, 2))))
-            if runs > ORACLE_CONTRACT_RUNS:
-                raise OracleTooLargeError(
-                    f"contraction oracle needs {runs} runs for n={g.n}, k={k}, over the "
-                    f"{ORACLE_CONTRACT_RUNS} limit; pass runs= to choose a count without the guarantee"
-                )
-        rng = random.Random(seed)
-        best_partition: Partition | None = None
-        best_val = None
-        for _ in range(runs):
-            partition = _contract_once(h, k, rng)
-            val = cut_weight(h, partition)
+    if g.n > ORACLE_ENUM_LIMIT:
+        raise OracleTooLargeError(
+            f"enumeration oracle supports at most {ORACLE_ENUM_LIMIT} vertices, got {g.n}"
+        )
+    h, _ = to_integer_multigraph(g)
+    best_val: int | None = None
+    best_labels: tuple[int, ...] | None = None
+    for labels in _partitions_into_k(g.n, k):
+        val = 0
+        for u, v, w in h.edges:
+            if labels[u] != labels[v]:
+                val += w
+                if best_val is not None and val >= best_val:
+                    break
+        else:
             if best_val is None or val < best_val:
-                best_val, best_partition = val, partition
-        assert best_partition is not None
-        partition = best_partition
-    else:
-        raise InvalidInputError(f"unknown oracle method {method!r}")
-    return partition, cut_weight(g, partition)
-
-
-def _contract_once(g: MultiGraph, k: int, rng: random.Random) -> Partition:
-    parent = list(range(g.n))
-    alive = g.n
-    edges = list(g.edges)
-    while alive > k:
-        weights = []
-        live = []
-        for u, v, w in edges:
-            if uf_find(parent, u) != uf_find(parent, v):
-                live.append((u, v))
-                weights.append(w)
-        if not live:
-            # Disconnected remainder: merge the two sets whose least
-            # members, which are their roots, are smallest.
-            roots = sorted({uf_find(parent, v) for v in range(g.n)})
-            parent[roots[1]] = roots[0]
-            alive -= 1
-            continue
-        pick = rng.randrange(sum(weights))
-        acc = 0
-        for (u, v), w in zip(live, weights):
-            acc += w
-            if pick < acc:
-                uf_union(parent, u, v)
-                alive -= 1
-                break
+                best_val, best_labels = val, labels
+    assert best_labels is not None
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf_find(parent, v), []).append(v)
-    return Partition.from_parts(groups.values())
+    for v, c in enumerate(best_labels):
+        groups.setdefault(c, []).append(v)
+    partition = Partition.from_parts(groups.values())
+    return partition, cut_weight(g, partition)

@@ -21,8 +21,6 @@ from .graph import (
     InvalidInputError,
     MultiGraph,
     is_connected,
-    uf_find,
-    uf_union,
 )
 
 
@@ -117,61 +115,17 @@ def is_compact(td: TreeDecomposition, g: MultiGraph) -> bool:
     """Every non-root subtree with nonempty adhesion has connected private
     vertices whose neighborhood is exactly that adhesion."""
     adj = g.neighbors()
-    for t in range(len(td)):
-        a = td.adhesion(t)
-        if td.parent[t] == -1 or not a:
-            continue
-        alpha = td.alpha(t)
-        if not alpha:
-            return False  # redundant subtree; cleanup should have removed it
-        seen = {min(alpha)}
-        stack = [min(alpha)]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in alpha and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != alpha:
-            return False
-        nbrs = {w for u in alpha for w in adj[u] if w not in alpha}
-        if nbrs != a:
-            return False
-    return True
+    return all(_compact_at(td, t, adj) for t in range(len(td)) if td.parent[t] != -1 and td.adhesion(t))
 
 
-def is_bag_unbreakable(g: MultiGraph, bag: Iterable[int], q: int, s: int) -> bool:
-    """Brute force ((q, s))-edge-unbreakability check, exponential in g.m."""
-    from itertools import combinations
-
-    bag = frozenset(bag)
-    mincut = sum(w for _, _, w in g.edges) + 1
-    for r in range(0, s + 1):
-        for cut_edges in combinations(range(g.m), r):
-            weight = sum(g.edges[i][2] for i in cut_edges)
-            if weight > s:
-                continue
-            parent = list(range(g.n))
-            for i, (u, v, _) in enumerate(g.edges):
-                if i not in cut_edges:
-                    uf_union(parent, u, v)
-            comps: dict[int, set[int]] = {}
-            for v in range(g.n):
-                comps.setdefault(uf_find(parent, v), set()).add(v)
-            if len(comps) < 2:
-                continue
-            groups = sorted(comps.values(), key=min)
-            # Any union of components forms one side of a cut of weight <= s.
-            for bits in range(1, 1 << (len(groups) - 1)):
-                side = set()
-                for i, grp in enumerate(groups):
-                    if bits >> i & 1:
-                        side |= grp
-                cut = EdgeCut.of(g, frozenset(side))
-                if cut.order <= s:
-                    if len(side & bag) > q and len(bag - side) > q:
-                        return False
-    return True
+def _compact_at(td: TreeDecomposition, t: int, adj) -> bool:
+    """Whether alpha(t) is nonempty and connected and N(alpha(t)) is t's
+    adhesion.  An empty alpha(t) marks a redundant subtree, which the
+    splitter in ``compactify`` drops."""
+    alpha = td.alpha(t)
+    if not alpha or len(_components(alpha, adj)) > 1:
+        return False
+    return {w for u in alpha for w in adj[u] if w not in alpha} == td.adhesion(t)
 
 
 @dataclass(frozen=True)
@@ -462,7 +416,7 @@ def compactify(td: TreeDecomposition, g: MultiGraph) -> TreeDecomposition:
     adj = g.neighbors()
     for _ in range(20 * (len(td.bags) + g.n + 10)):
         td = cleanup(td)
-        target = _first_compactness_violation(td, g, adj)
+        target = _first_compactness_violation(td, adj)
         if target is None:
             assert is_compact(td, g)
             return td
@@ -470,23 +424,12 @@ def compactify(td: TreeDecomposition, g: MultiGraph) -> TreeDecomposition:
     raise AssertionError("compactification failed to converge")
 
 
-def _first_compactness_violation(td: TreeDecomposition, g: MultiGraph, adj) -> int | None:
+def _first_compactness_violation(td: TreeDecomposition, adj) -> int | None:
     order = [td.root]
     kids = td.children_map()
     for u in order:
         order.extend(kids[u])
-    for t in order:
-        if td.parent[t] == -1:
-            continue
-        alpha = td.alpha(t)
-        if not alpha:
-            return t  # redundant subtree, handled by the splitter
-        a = td.adhesion(t)
-        comp = _components(alpha, adj)
-        nbrs = {w for u in alpha for w in adj[u] if w not in alpha}
-        if len(comp) > 1 or nbrs != a:
-            return t
-    return None
+    return next((t for t in order if td.parent[t] != -1 and not _compact_at(td, t, adj)), None)
 
 
 def _components(vertices: frozenset[int], adj) -> list[set[int]]:
@@ -623,21 +566,3 @@ def dump_decomposition(td: TreeDecomposition) -> str:
         lines.append(f"{t} {td.parent[t]} {bag}".rstrip())
     return "\n".join(lines) + "\n"
 
-
-def parse_decomposition(text: str) -> TreeDecomposition:
-    bags: dict[int, frozenset[int]] = {}
-    parent: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise InvalidInputError(f"line {lineno}: expected 'id parent bag...'")
-        t, p = int(fields[0]), int(fields[1])
-        bags[t] = frozenset(int(x) for x in fields[2:])
-        parent[t] = p
-    ids = sorted(bags)
-    if ids != list(range(len(ids))):
-        raise InvalidInputError("node ids must be 0..N-1")
-    return TreeDecomposition(tuple(bags[i] for i in ids), tuple(parent[i] for i in ids))

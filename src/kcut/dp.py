@@ -132,83 +132,7 @@ def _merged(pieces: Sequence[int], labels: Sequence[int], nparts: int) -> list[i
     return acc
 
 
-def _groupings(pieces: Sequence[int]) -> list[MaskPartition]:
-    """All merges of disjoint masks into coarser partitions."""
-    return [
-        tuple(sorted(_merged(pieces, lab, max(lab, default=-1) + 1)))
-        for lab in _label_vectors(len(pieces))
-    ]
-
-
 # -- spanning tree projection ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjEdge:
-    u: int
-    v: int
-    path: tuple[int, ...]  # original tree path from u to v, inclusive
-
-
-@dataclass(frozen=True)
-class ProjectedTree:
-    """A spanning tree restricted to a hub set X: leaves and degree-2
-    vertices outside X are dissolved, so at most 2|X| vertices remain."""
-
-    x: frozenset[int]
-    vertices: frozenset[int]
-    edges: tuple[ProjEdge, ...]
-
-
-def project_tree(tree: Iterable[tuple[int, int]], x: Iterable[int]) -> ProjectedTree:
-    """Exhaustively delete non-X leaves and smooth non-X degree-2 vertices."""
-    xset = frozenset(x)
-    adj: dict[int, dict[int, tuple[int, ...]]] = {}
-    for u, v in tree:
-        adj.setdefault(u, {})[v] = (u, v)
-        adj.setdefault(v, {})[u] = (v, u)
-    if not adj:
-        if len(xset) > 1:
-            raise InvalidInputError("projection hub set exceeds the tree")
-        return ProjectedTree(xset, xset, ())
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v in xset:
-                continue
-            deg = len(adj[v])
-            if deg == 1:
-                (u,) = adj[v]
-                del adj[u][v]
-                del adj[v]
-                changed = True
-            elif deg == 2:
-                a, b = sorted(adj[v])
-                path_a = adj[v][a]  # path v..a
-                path_b = adj[v][b]
-                del adj[a][v]
-                del adj[b][v]
-                del adj[v]
-                adj[a][b] = tuple(reversed(path_a)) + path_b[1:]
-                adj[b][a] = tuple(reversed(path_b)) + path_a[1:]
-                changed = True
-
-    verts = frozenset(adj)
-    edges = []
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            if u < v:
-                edges.append(ProjEdge(u, v, adj[u][v]))
-    out = ProjectedTree(xset, verts, tuple(edges))
-    assert xset <= verts or not xset
-    assert len(verts) <= max(2 * len(xset), 1) or not xset
-    return out
-
-
-def _edge_pairs(pt: ProjectedTree) -> tuple[tuple[int, int], ...]:
-    return tuple((e.u, e.v) for e in pt.edges)
 
 
 def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
@@ -229,11 +153,13 @@ def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[i
 
 
 def _projection(order: Sequence[int], parent: Sequence[int], xmask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Vertex mask and sorted (u, v) edges of ``project_tree`` onto a
+    """Vertex mask and sorted (u, v) edges of a tree's projection onto a
     nonempty hub mask, from a tree rooted once by ``_rooting``, in linear
-    time.  Pruning and smoothing leave the minimal subtree spanning the
-    hubs with its non-hub degree-2 vertices dissolved: the hubs plus every
-    vertex where three branches toward hubs meet.  Each such vertex joins
+    time.  The projection deletes non-hub leaves and smooths non-hub
+    degree-2 vertices until none is left, so at most twice as many vertices
+    as hubs remain.  That leaves the minimal subtree spanning the hubs with
+    its non-hub degree-2 vertices dissolved: the hubs plus every vertex
+    where three branches toward hubs meet.  Each such vertex joins
     the nearest one above it; when the hubs' lowest common ancestor is
     dissolved, its two branches' top vertices join each other instead."""
     nx = xmask.bit_count()
@@ -310,36 +236,6 @@ def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list
         comps.append(full & ~taken)
     comps.sort()
     return comps
-
-
-# -- feasible families --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeasibleFamily:
-    x: frozenset[int]
-    partitions: tuple[Partition, ...]
-
-
-def _feasible_masks(xmask: int, vmask: int, edges: Sequence[tuple[int, int]], k: int) -> frozenset[MaskPartition]:
-    """Projections onto the hub mask of all partitions of a projected tree
-    (vertex mask and edges) obtainable by cutting at most 2k-2 edges and
-    merging the resulting components."""
-    if not xmask:
-        return frozenset({()})
-    below = _rooted_sides(vmask, edges)
-    out: set[MaskPartition] = set()
-    budget = min(guess_budget(k), len(edges))
-    for r in range(budget + 1):
-        for cut in combinations(range(len(edges)), r):
-            for merged in _groupings(_cut_components(vmask, below, cut)):
-                out.add(_proj_masks(merged, xmask))
-    return frozenset(out)
-
-
-def feasible_family(pt: ProjectedTree, k: int) -> FeasibleFamily:
-    masks = sorted(_feasible_masks(_mask(pt.x), _mask(pt.vertices), _edge_pairs(pt), k))
-    return FeasibleFamily(pt.x, tuple(unmask_partition(m) for m in masks))
 
 
 # -- engine -------------------------------------------------------------------
@@ -707,14 +603,11 @@ def _spanning_tree_count(g: MultiGraph) -> int:
     return prev
 
 
-def _tree_family(g: MultiGraph, k: int, trees: TreeFamily | None) -> TreeFamily:
-    """The given family, else every spanning tree when there are at most
-    ``DEFAULT_TREE_CAP`` of them on at most 10 vertices, else a packing.  A
-    truncated enumeration would share its lowest-indexed edges across all
-    its trees and can miss every tree that crosses an optimum at most 2k-2
-    times."""
-    if trees is not None:
-        return trees
+def _tree_family(g: MultiGraph, k: int) -> TreeFamily:
+    """Every spanning tree when there are at most ``DEFAULT_TREE_CAP`` of
+    them on at most 10 vertices, else a packing.  A truncated enumeration
+    would share its lowest-indexed edges across all its trees and can miss
+    every tree that crosses an optimum at most 2k-2 times."""
     if g.n <= 10 and _spanning_tree_count(g) <= DEFAULT_TREE_CAP:
         return enumerate_spanning_trees(g, cap=DEFAULT_TREE_CAP)
     count = min(200, max(1, math.ceil(k**3 * math.log(g.m + 2))))
@@ -752,7 +645,7 @@ def solve_exact(
     _check_exact_inputs(g, k, s)
     if mode not in ("decide", "construct"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    fam = _tree_family(g, k, trees)
+    fam = _tree_family(g, k) if trees is None else trees
     td = build_unbreakable_decomposition(g, s)
     engine = _Engine(g, td, k, s)
     used = 0
@@ -776,20 +669,21 @@ def exact_values(
     g: MultiGraph,
     kmax: int,
     s_cap: int,
-    trees: TreeFamily | None = None,
-    construct: bool = False,
+    *,
     stats_out: dict | None = None,
 ) -> list[tuple[int | None, Partition | None]]:
-    """Minimum cut weights (and witnesses) for every part count 1..kmax.
+    """Minimum cut weights and witnesses for every part count 1..kmax.
 
     One DP evaluation over the whole family's candidates, with the budget
     clamped at ``s_cap``, fills the whole vector; each part count's
-    witness is reconstructed (and so checked) once.  Entries stay None
-    where no cut of weight <= s_cap exists.  Index 0 is unused.
+    witness is reconstructed (and so checked) once.  Entries are
+    (None, None) where no cut of weight <= s_cap exists.  Index 0 is
+    unused.  ``stats_out``, when given, accumulates the trees taken in and
+    the DP states evaluated under ``"trees"`` and ``"states"``.
     """
-    _check_exact_inputs(g, max(1, min(kmax, g.n)), s_cap)
     kmax = min(kmax, g.n)
-    fam = _tree_family(g, kmax, trees)
+    _check_exact_inputs(g, kmax, s_cap)
+    fam = _tree_family(g, kmax)
     td = build_unbreakable_decomposition(g, s_cap)
     engine = _Engine(g, td, kmax, s_cap)
     for ti in range(len(fam)):
@@ -802,8 +696,7 @@ def exact_values(
         if ent is None:
             best.append((None, None))
             continue
-        masks = engine.reconstruct(td.root, (), i)  # self-check
-        best.append((ent[0], unmask_partition(masks) if construct else None))
+        best.append((ent[0], unmask_partition(engine.reconstruct(td.root, (), i))))
     if stats_out is not None:
         stats_out["trees"] = stats_out.get("trees", 0) + len(fam)
         stats_out["states"] = stats_out.get("states", 0) + engine.states

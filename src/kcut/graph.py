@@ -166,13 +166,6 @@ class Partition:
     def empty(cls) -> "Partition":
         return cls((), (frozenset(),))
 
-    @classmethod
-    def singletons(cls, ground: Iterable[int]) -> "Partition":
-        g = tuple(sorted(ground))
-        if not g:
-            return cls.empty()
-        return cls(g, tuple(frozenset([v]) for v in g))
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -186,24 +179,6 @@ class Partition:
             for v in p:
                 out[v] = i
         return out
-
-
-def project(p: Partition, s: Iterable[int]) -> Partition:
-    """Projection of ``p`` onto ``s``: intersect parts, drop empties."""
-    sset = frozenset(s)
-    if not sset <= set(p.ground):
-        raise InvalidInputError("projection target is not a subset of the ground set")
-    if not sset:
-        return Partition.empty()
-    parts = tuple(q for q in (part & sset for part in p.parts) if q)
-    return Partition(tuple(sorted(sset)), parts)
-
-
-def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every part of ``fine`` is contained in some part of ``coarse``."""
-    if fine.ground != coarse.ground:
-        raise InvalidInputError("refinement needs identical ground sets")
-    return all(any(f <= c for c in coarse.parts) for f in fine.parts)
 
 
 def cut_weight(g: MultiGraph, p: Partition) -> Num:

@@ -243,7 +243,7 @@ def _exact_sweep(
     witnesses: list[tuple[list[int], list]] = []
     for part in comps.parts:
         sub, labels = h.induced_subgraph(part)
-        vec = exact_values(sub, min(k, sub.n), min(cap, sub.total_weight()), construct=True, stats_out=stats_out)
+        vec = exact_values(sub, min(k, sub.n), min(cap, sub.total_weight()), stats_out=stats_out)
         tables.append({j: v for j, (v, _) in enumerate(vec) if v is not None})
         witnesses.append((labels, vec))
     combo = combine_components(tables, k)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .graph import InvalidInputError, MultiGraph, Partition, is_connected, uf_find, uf_union
+from .graph import InvalidInputError, MultiGraph, is_connected, uf_find, uf_union
 
 
 @dataclass(frozen=True)
@@ -94,36 +93,27 @@ def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
                 comps -= 1
         return comps == 1
 
-    def rec(e: int, parent: list[int], chosen: list[int]):
-        if len(found) >= cap:
-            return
+    # Depth-first over include/exclude decisions, one stack entry per open
+    # branch: (next class, union-find forest, classes chosen).  The include
+    # branch is pushed last, so every tree that takes class e comes before
+    # every tree that skips it, and the trees come out in increasing order.
+    stack: list[tuple[int, list[int], tuple[int, ...]]] = [(0, list(range(g.n)), ())]
+    while stack and len(found) < cap:
+        e, parent, chosen = stack.pop()
         if len(chosen) == g.n - 1:
-            found.append(tuple(chosen))
-            return
+            found.append(chosen)
+            continue
         if e == m or not connectable(parent, e):
-            return
+            continue
+        stack.append((e + 1, parent, chosen))
         u, v, _ = g.edges[e]
         if uf_find(parent, u) != uf_find(parent, v):
             child = list(parent)
             uf_union(child, u, v)
-            chosen.append(e)
-            rec(e + 1, child, chosen)
-            chosen.pop()
-        rec(e + 1, parent, chosen)
-
-    rec(0, list(range(g.n)), [])
+            stack.append((e + 1, child, chosen + (e,)))
     loads = [0] * m
     for t in found:
         for e in t:
             loads[e] += 1
     return TreeFamily(g, tuple(found), tuple(loads))
 
-
-def crossings(tree: Iterable[tuple[int, int]], p: Partition) -> int:
-    """Number of tree edges whose endpoints lie in different parts."""
-    label = p.part_of()
-    count = 0
-    for u, v in tree:
-        if label[u] != label[v]:
-            count += 1
-    return count

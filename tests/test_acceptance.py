@@ -16,15 +16,15 @@ from conftest import connected_multigraph
 from kcut.cuts import oracle_exact_kcut
 from kcut.decomposition import (
     build_unbreakable_decomposition,
-    is_bag_unbreakable,
     is_compact,
     validate_decomposition,
 )
-from kcut.dp import feasible_family, project_tree, solve_exact
+from kcut.dp import solve_exact
 from kcut.graph import EdgeCut, MultiGraph, Partition, cc, cut_weight
 from kcut.scheme import solve as scheme_solve
 from kcut.sparsify import sample_edges, strip_cheap_2cuts
 from kcut.treepack import enumerate_spanning_trees
+from reference import ProjEdge, ProjectedTree, feasible_family, is_bag_unbreakable, project_tree
 
 TREE_CAP = 5000
 
@@ -184,8 +184,6 @@ def test_criterion_6_decomposition_validity():
 
 
 def test_criterion_7_feasible_family_equality():
-    from kcut.dp import ProjEdge, ProjectedTree
-
     def canon(p):
         return tuple(sorted(tuple(sorted(q)) for q in p.parts))
 

@@ -493,23 +493,6 @@ class TestOracle:
         with pytest.raises(OracleTooLargeError):
             oracle_exact_kcut(g, 2)
 
-    def test_contraction_refuses_whp_count_over_limit(self):
-        # 30^4 ln 30 is about 2.8 million runs; refused before any run starts.
-        with pytest.raises(OracleTooLargeError, match="runs="):
-            oracle_exact_kcut(cycle(30), 3, method="contract")
-
-    def test_contraction_explicit_runs_honoured(self):
-        _, val = oracle_exact_kcut(cycle(30), 3, method="contract", seed=1, runs=50)
-        assert val >= 3
-
-    def test_contraction_agrees_on_small(self):
-        rng = random.Random(2)
-        for _ in range(10):
-            g = random_multigraph(rng, n_max=6, m_max=9, connected=True)
-            _, exact = oracle_exact_kcut(g, 2)
-            _, approx = oracle_exact_kcut(g, 2, method="contract", seed=4, runs=200)
-            assert approx == exact
-
     def test_partition_weight_consistent(self):
         rng = random.Random(9)
         for _ in range(20):

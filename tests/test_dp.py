@@ -10,7 +10,6 @@ from kcut.decomposition import TreeDecomposition, build_unbreakable_decompositio
 from kcut.dp import (
     Partition,
     _cut_components,
-    _edge_pairs,
     _Engine,
     _mask,
     _projection,
@@ -18,14 +17,13 @@ from kcut.dp import (
     _rooting,
     _values,
     exact_values,
-    feasible_family,
-    project_tree,
     solve_exact,
 )
 from kcut.graph import InvalidInputError, MultiGraph, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
+from reference import ProjEdge, ProjectedTree, _edge_pairs, feasible_family, project_tree
 
 
 def path_graph(n):
@@ -185,8 +183,6 @@ class TestProjectionKey:
 
 def _identity_projection(tree, x):
     """The tree as its own projection, hubs x; bypasses smoothing."""
-    from kcut.dp import ProjEdge, ProjectedTree
-
     verts = {v for e in tree for v in e}
     return ProjectedTree(
         frozenset(x), frozenset(verts), tuple(ProjEdge(u, v, (u, v)) for u, v in tree)
@@ -300,12 +296,17 @@ class TestExactValues:
         for _ in range(10):
             g = random_connected(rng, n_max=7, extra=4)
             kmax = min(3, g.n)
-            vals = exact_values(g, kmax, 12, construct=True)
+            vals = exact_values(g, kmax, 12)
             for i in range(1, kmax + 1):
                 _, opt = oracle_exact_kcut(g, i)
                 if opt <= 12:
                     assert vals[i][0] == opt
                     assert cut_weight(g, vals[i][1]) == opt
+
+    def test_kmax_below_one_rejected(self):
+        for kmax in (0, -1):
+            with pytest.raises(InvalidInputError):
+                exact_values(path_graph(3), kmax, 5)
 
 
 class TestComputeState:
@@ -595,7 +596,7 @@ class TestPastOracle:
         g = clique_ring_graph(seed)
         assert 15 <= g.n <= 30
         cap = 4
-        vals = exact_values(g, k, cap, construct=True)
+        vals = exact_values(g, k, cap)
         opt = vals[k][0]
         if opt is not None:
             assert cut_weight(g, vals[k][1]) == opt
@@ -639,7 +640,7 @@ class TestOversizedBranch:
         # candidate of every node is checked against a direct count.
         g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
         engine = _Engine(g, build_unbreakable_decomposition(g, 3), k, 3)
-        fam = dp_module._tree_family(g, k, None)
+        fam = dp_module._tree_family(g, k)
         for ti in range(len(fam)):
             engine.add_tree(fam.tree_edges(ti))
         checked = 0

@@ -10,9 +10,7 @@ from kcut.graph import (
     Partition,
     connected_components,
     cut_weight,
-    project,
     read_graph,
-    refines,
     round_to_multigraph,
     write_graph,
 )
@@ -112,58 +110,6 @@ class TestCutWeight:
                 assert cut_weight(g, p) * 2 == total
 
 
-class TestProject:
-    def test_basic(self):
-        p = Partition.from_parts([[1, 2], [3, 4]])
-        assert project(p, [1, 3]).parts == (frozenset([1]), frozenset([3]))
-
-    def test_empty_parts_dropped(self):
-        p = Partition.from_parts([[1, 2], [3]])
-        assert project(p, [1, 2]).parts == (frozenset([1, 2]),)
-
-    def test_empty_target_gives_p_empty(self):
-        p = Partition.from_parts([[1, 2], [3]])
-        q = project(p, [])
-        assert q == Partition.empty()
-        assert len(q) == 1 and q.parts == (frozenset(),)
-
-    def test_idempotent(self):
-        p = Partition.from_parts([[1, 2, 5], [3, 4], [6]])
-        for s in ([1, 3, 6], [2, 4], []):
-            once = project(p, s)
-            assert project(once, s) == once
-
-
-class TestRefines:
-    def test_examples(self):
-        fine = Partition.from_parts([[1], [2], [3]])
-        coarse = Partition.from_parts([[1, 2], [3]])
-        assert refines(fine, coarse)
-        assert refines(coarse, coarse)
-        assert not refines(
-            Partition.from_parts([[1, 2]]), Partition.from_parts([[1], [2]])
-        )
-
-    def test_ground_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            refines(Partition.from_parts([[1]]), Partition.from_parts([[2]]))
-
-    def test_partial_order_on_small_ground(self):
-        ps = list(all_partitions(range(4)))
-        for a in ps:
-            assert refines(a, a)
-        for a, b in itertools.permutations(ps, 2):
-            if refines(a, b) and refines(b, a):
-                assert a == b
-        import random
-
-        rng = random.Random(1)
-        for _ in range(300):
-            a, b, c = rng.choice(ps), rng.choice(ps), rng.choice(ps)
-            if refines(a, b) and refines(b, c):
-                assert refines(a, c)
-
-
 class TestConnectedComponents:
     def test_edgeless(self):
         p = connected_components(MultiGraph.multi(3, []))
@@ -198,7 +144,7 @@ class TestRounding:
         res = round_to_multigraph(g, Fraction(1, 2), Fraction(1))
         assert res.graph.n == 2
         assert res.vertex_map[0] == res.vertex_map[1]
-        lifted = res.lift_partition(Partition.singletons(range(res.graph.n)))
+        lifted = res.lift_partition(Partition.from_parts([v] for v in range(res.graph.n)))
         assert frozenset([0, 1]) in lifted.parts
 
     def test_partition_error_bound_exhaustive(self):

@@ -148,7 +148,7 @@ class TestNoGraphKeptAlive:
 
     CALLS = [
         ("solve_exact", False, lambda g: solve_exact(g, 3, 4, mode="construct")),
-        ("exact_values", False, lambda g: exact_values(g, 3, 6, construct=True)),
+        ("exact_values", False, lambda g: exact_values(g, 3, 6)),
         ("solve_main", True, lambda g: scheme_solve(g, 3, Fraction(1, 2), seed=0)),
         ("solve_exact_dp", True, lambda g: scheme_solve(g, 3, Fraction(1, 100))),
     ]

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from kcut.cuts import oracle_exact_kcut
+from kcut.dp import _spanning_tree_count
 from kcut.graph import InvalidInputError, MultiGraph, Partition
-from kcut.treepack import crossings, enumerate_spanning_trees, pack_trees
+from kcut.treepack import enumerate_spanning_trees, pack_trees
+
+from conftest import connected_multigraph
+from reference import crossings
 
 
 def cycle(n):
@@ -99,6 +103,20 @@ class TestEnumeration:
             assert len(set(fam.trees)) == len(fam)
             for t in fam.trees:
                 assert is_spanning_tree(g, t)
+
+    def test_long_path(self):
+        # One include/exclude decision per edge class: deeper than Python's
+        # default recursion limit.
+        g = MultiGraph.multi(1500, [(i, i + 1) for i in range(1499)])
+        assert enumerate_spanning_trees(g).trees == (tuple(range(1499)),)
+
+    def test_increasing_order_and_count(self):
+        for seed in range(30):
+            g = connected_multigraph(seed, n_lo=2, n_hi=8, extra_hi=10)
+            for cap in (5, 5000):
+                fam = enumerate_spanning_trees(g, cap=cap)
+                assert all(a < b for a, b in zip(fam.trees, fam.trees[1:])), (seed, cap)
+                assert len(fam) == min(cap, _spanning_tree_count(g)), (seed, cap)
 
 
 class TestCrossings:
