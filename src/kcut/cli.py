@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
             "components": res.stats.components,
             "trees_used": res.stats.trees_used,
             "dp_states": res.stats.dp_states,
-            "fallback": res.stats.fallback,
+            "fallback": res.stats.branch == "fallback",
         }
         report = _report(args, g, {"value": _num_str(res.value), "partition": labels, "stats": stats})
     elif args.mode == "exact":

@@ -339,18 +339,14 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     return cut
 
 
-def min_nontrivial_2cut(g: MultiGraph) -> EdgeCut | None:
-    """Minimum 2-cut with at least one crossing edge, or None if g has no edges.
+def _min_nontrivial_2cut(g: MultiGraph, memo: dict[MultiGraph, EdgeCut]) -> EdgeCut | None:
+    """Minimum 2-cut with at least one crossing edge, or None if g has no
+    edges, with each component subgraph's minimum cut looked up first in
+    ``memo``, a dict owned by the caller.
 
     Works on disconnected graphs: the cheapest way to get one crossing edge
     splits a single component minimally and spreads the rest around it.
     """
-    return _min_nontrivial_2cut(g, {})
-
-
-def _min_nontrivial_2cut(g: MultiGraph, memo: dict[MultiGraph, EdgeCut]) -> EdgeCut | None:
-    """``min_nontrivial_2cut`` with each component subgraph's minimum cut
-    looked up first in ``memo``, a dict owned by the caller."""
     _require_multi(g)
     if not g.edges:
         return None

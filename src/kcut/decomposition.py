@@ -478,26 +478,22 @@ def _split_subtree(td: TreeDecomposition, c: int, adj) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(parent))
 
 
-def build_unbreakable_decomposition(
-    g: MultiGraph, s: int, with_log: bool = False
-) -> TreeDecomposition | tuple[TreeDecomposition, list[int]]:
+def build_unbreakable_decomposition(g: MultiGraph, s: int) -> TreeDecomposition:
     """Compute a rooted compact decomposition with adhesions of size at most
     s whose every bag is ((s+1)^5, s)-edge-unbreakable.
 
     Disconnected graphs are decomposed per component and the component roots
-    glued under the first root.  ``with_log`` additionally returns the
-    sequence of potential values, one entry per refinement."""
+    glued under the first root."""
     if s < 0:
         raise InvalidInputError("unbreakability parameter must be nonnegative")
     if g.n == 0:
         raise InvalidInputError("cannot decompose the empty graph")
-    log: list[int] = []
     comp_tds: list[tuple[TreeDecomposition, list[int]]] = []
     from .graph import connected_components
 
     for part in connected_components(g).parts:
         sub, labels = g.induced_subgraph(part)
-        td = _build_connected(sub, s, log)
+        td = _build_connected(sub, s)
         comp_tds.append((td, labels))
 
     bags: list[frozenset[int]] = []
@@ -515,11 +511,10 @@ def build_unbreakable_decomposition(
                     parent.append(first_root)
             else:
                 parent.append(base + td.parent[t])
-    out = TreeDecomposition(tuple(bags), tuple(parent))
-    return (out, log) if with_log else out
+    return TreeDecomposition(tuple(bags), tuple(parent))
 
 
-def _build_connected(g: MultiGraph, s: int, log: list[int]) -> TreeDecomposition:
+def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
     td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
     while True:
         big = sorted(
@@ -531,11 +526,7 @@ def _build_connected(g: MultiGraph, s: int, log: list[int]) -> TreeDecomposition
             cut = find_breakability_witness(g, td.bags[t], s)
             if cut is None:
                 continue
-            lean = witness_to_lean(td, t, cut, s, g)
-            before = potential(td, s)
-            td = refine(td, lean, s, g)
-            log.append(before)
-            log.append(potential(td, s))
+            td = refine(td, witness_to_lean(td, t, cut, s, g), s, g)
             refined = True
             break
         if not refined:

@@ -7,9 +7,10 @@ tree's projection onto the bag an optimal solution cuts, groups the
 guess's pieces (its components, straight from the projection rooted once,
 restricted to the bag) into at most k parts, and composes the node's
 children with each grouping through one knapsack.  Every grouping is
-scored from one piece-pair weight matrix; a childless node keeps only
-per-key minima.  Bags of every size take this one path (``_Engine``
-explains why it is exact).
+scored from one piece-pair weight matrix, and every node keeps only the
+lightest grouping per (adhesion projection, part count, child adhesion
+projections).  Bags of every size and nodes with or without children take
+this one path (``_Engine`` explains why it is exact).
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
@@ -78,7 +79,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def _proj_masks(parts: Sequence[int], mask: int) -> MaskPartition:
-    return tuple(sorted(p & mask for p in parts if p & mask))
+    return tuple(sorted([p & mask for p in parts if p & mask]))
 
 
 def unmask_partition(parts: MaskPartition) -> Partition:
@@ -113,7 +114,8 @@ def _scoring(c: int, k: int, touch: tuple[int, ...]) -> tuple[tuple, tuple, tupl
     """Groupings of c pieces into at most k parts, in ``_label_vectors``
     order: their label vectors, the flat indices ``a * c + b`` (a < b) of the
     piece pairs each separates, and their positions grouped by (labels of the
-    ``touch`` pieces, part count), which fixes the adhesion projection."""
+    ``touch`` pieces, part count), which fixes the projections onto every
+    mask that only the touch pieces meet."""
     labelings = tuple(lab for lab in _label_vectors(c) if max(lab, default=-1) < k)
     pairs = tuple(
         tuple(a * c + b for a in range(c) for b in range(a + 1, c) if lab[a] != lab[b])
@@ -244,13 +246,12 @@ def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list
 class _Coarse:
     """One candidate partition of a bag, with cached bookkeeping."""
 
-    __slots__ = ("parts", "nparts", "w_base", "at_proj", "child_items")
+    __slots__ = ("parts", "nparts", "w_base", "child_items")
 
-    def __init__(self, parts, nparts, w_base, at_proj, child_items):
+    def __init__(self, parts, nparts, w_base, child_items):
         self.parts = parts
         self.nparts = nparts
         self.w_base = w_base
-        self.at_proj = at_proj
         self.child_items = child_items
 
 
@@ -258,30 +259,30 @@ class _Coarse:
 class _NodeCtx:
     bag_mask: int
     adh_mask: int
+    iface_mask: int  # the adhesion and every child adhesion
     gamma_mask: int
     children: list[int]
-    child_adh: dict[int, int]
+    child_masks: tuple[int, ...]  # the children's adhesions, in order
     bag_edges: list[tuple[int, int, int]]
 
 
 class _Cands:
     """One node's candidates, the union over the trees taken in so far.
 
-    A node with children keeps every candidate partition of its bag as a
-    ``_Coarse`` in ``by_at``, grouped by adhesion projection; a childless
-    node keeps only the per-(projection, part count) minima in ``best``,
-    since nothing else can matter.  The bag projections, the guesses'
-    pieces and the partitions already taken in make each of them built
-    once per node."""
+    ``by_at`` maps each adhesion projection to one ``_Coarse`` per (part
+    count, child adhesion projections): the first lightest grouping with
+    that key in tree, guess and label order; nothing else can matter
+    (``_Engine`` says why).  A strictly lighter grouping replaces its key's
+    candidate and moves it to the end, so each dict lists its candidates in
+    the order they were found.  The bag projections and the guesses' pieces
+    already taken in make each of them built once per node."""
 
-    __slots__ = ("by_at", "best", "seen_proj", "seen_pieces", "seen_parts")
+    __slots__ = ("by_at", "seen_proj", "seen_pieces")
 
     def __init__(self):
-        self.by_at: dict[MaskPartition, list[_Coarse]] = {}
-        self.best: dict[tuple, tuple[int, _Coarse]] = {}
+        self.by_at: dict[MaskPartition, dict[tuple, _Coarse]] = {}
         self.seen_proj: set[tuple] = set()
         self.seen_pieces: set[MaskPartition] = set()
-        self.seen_parts: set[MaskPartition] = set()
 
 
 class _Engine:
@@ -292,8 +293,8 @@ class _Engine:
 
     ``add_tree`` takes one tree into every node's candidates, building them
     once per distinct projection of the tree onto the bag.  ``evaluate``
-    then recomputes, bottom-up, each node whose candidates grew or whose
-    children's values changed.
+    then recomputes, bottom-up, each node whose candidates improved or
+    whose children's values changed.
 
     One evaluation over the union is exact.  Every table entry is realised
     by a partition of gamma(t) with its adhesion projection, part count and
@@ -307,6 +308,12 @@ class _Engine:
     projected edges whose ends the cut separates, so some maximal guess
     holds them all, and grouping its pieces yields the cut's restriction to
     the bag.
+
+    Keeping one grouping per (adhesion projection, part count, child
+    adhesion projections) loses nothing.  Two groupings with one key meet
+    the same child states at the same adhesion weights, so the knapsack
+    adds the same amounts to both, and its budget pruning is monotone in
+    the grouping's own weight: the lighter is never worse.
 
     A node's states are the (adhesion projection, part count) pairs whose
     projection a candidate carries.  Each lies in the tree's feasible family
@@ -330,12 +337,14 @@ class _Engine:
         for t in range(len(td)):
             bag = td.bags[t]
             children = td.children(t)
+            adh_mask = _mask(td.adhesion(t))
             self.ctxs[t] = _NodeCtx(
                 bag_mask=_mask(bag),
-                adh_mask=_mask(td.adhesion(t)),
+                adh_mask=adh_mask,
+                iface_mask=adh_mask | _mask(v for c in children for v in td.adhesion(c)),
                 gamma_mask=_mask(td.gamma(t)),
                 children=children,
-                child_adh={c: _mask(td.adhesion(c)) for c in children},
+                child_masks=tuple(_mask(td.adhesion(c)) for c in children),
                 bag_edges=[(u, v, w) for u, v, w in g.edges if u in bag and v in bag],
             )
             self.cands[t] = _Cands()
@@ -362,19 +371,22 @@ class _Engine:
         self._wmemo[parts] = total
         return total
 
-    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, w_base: int) -> _Coarse:
-        """A ``_Coarse`` of parts of the bag weighing w_base."""
-        items = []
-        for c in ctx.children:
-            ckey = _proj_masks(parts, ctx.child_adh[c])
-            items.append((c, ckey, len(ckey), self.crossing_weight(ckey, ctx.bag_edges)))
-        return _Coarse(parts, len(parts), w_base, _proj_masks(parts, ctx.adh_mask), tuple(items))
+    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, w_base: int, child_projs: tuple) -> _Coarse:
+        """A ``_Coarse`` of parts of the bag weighing w_base, whose
+        projections onto the child adhesions are ``child_projs``."""
+        items = ()
+        if child_projs:
+            items = tuple([
+                (c, ckey, len(ckey), self.crossing_weight(ckey, ctx.bag_edges))
+                for c, ckey in zip(ctx.children, child_projs)
+            ])
+        return _Coarse(parts, len(parts), w_base, items)
 
     # .. taking trees in ..
 
     def add_tree(self, tree: Sequence[tuple[int, int]]) -> None:
         """Take one family tree into every node's candidates; nodes whose
-        candidates grow are evaluated next time."""
+        candidates improve are evaluated next time."""
         order, parent = _rooting(tree, self.g.n)
         for t, ctx in self.ctxs.items():
             cands = self.cands[t]
@@ -387,7 +399,7 @@ class _Engine:
     def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, edges: tuple) -> bool:
         """Take in every maximal guess of crossed edges of one bag
         projection, min(2k-2, edges) of them, whose components come straight
-        from the projection rooted once; True if the candidates grew.  A
+        from the projection rooted once; True if the candidates improved.  A
         node's value is monotone under guess enlargement, since finer pieces
         have every grouping coarser ones have."""
         below = _rooted_sides(vmask, edges)
@@ -400,39 +412,38 @@ class _Engine:
     def _add_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
         """Take in the groupings of one guess's pieces, its components on the
         bag, into at most k parts, the only ones that can fit a state; True
-        if the candidates grew.  Pieces already taken in change nothing.  A
-        childless node keeps the per-key minima of ``_grouping_minima``,
-        moving one only on a strictly smaller weight, so the first minimiser
-        in tree, guess and grouping order stays; a node with children keeps
-        every grouping not taken in before as a ``_Coarse``."""
+        if the candidates improved.  Pieces already taken in change nothing.
+        Each key's first lightest grouping from ``_grouping_minima``
+        replaces the key's candidate only on a strictly smaller weight, so
+        the first lightest in tree, guess and label order stays."""
         pieces = _proj_masks(comps, ctx.bag_mask)
         if pieces in cands.seen_pieces:
             return False
         cands.seen_pieces.add(pieces)
         grew = False
-        if not ctx.children:
-            for key, w, parts in self._grouping_minima(ctx, pieces):
-                cur = cands.best.get(key)
-                if cur is None or w < cur[0]:
-                    cands.best[key] = (w, _Coarse(parts, key[1], w, key[0], ()))
-                    grew = True
-            return grew
-        labelings, weights, _ = self._grouping_weights(ctx, pieces, ())
-        for lab, w in zip(labelings, weights):
-            parts = tuple(sorted(_merged(pieces, lab, max(lab) + 1)))
-            if parts not in cands.seen_parts:
-                cands.seen_parts.add(parts)
-                co = self._make_coarse(ctx, parts, w)
-                cands.by_at.setdefault(co.at_proj, []).append(co)
+        for at, key, w, parts in self._grouping_minima(ctx, pieces):
+            group = cands.by_at.get(at)
+            if group is None:
+                group = cands.by_at[at] = {}
+            cur = group.get(key)
+            if cur is None or w < cur.w_base:
+                if cur is not None:
+                    del group[key]
+                group[key] = self._make_coarse(ctx, parts, w, key[1])
                 grew = True
         return grew
 
-    def _grouping_weights(self, ctx: _NodeCtx, pieces: MaskPartition, touch: tuple[int, ...]) -> tuple:
-        """``_scoring``'s labelings and groups for a bag's pieces, with the
-        crossing weight of each grouping.  One pass over the bag's edges
-        gives the weight between every two pieces; a grouping's crossing
-        weight is the sum over the piece pairs it separates."""
+    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> list:
+        """Per (adhesion projection, part count <= k, child adhesion
+        projections) key, the first lightest grouping of a bag's pieces in
+        label order, as (adhesion projection, (part count, child adhesion
+        projections), weight, parts), listed in label order.  The labels of
+        the pieces that meet an adhesion fix the key.  One pass over the
+        bag's edges gives the weight between every two pieces; a grouping's
+        crossing weight is the sum over the piece pairs it separates."""
         c = len(pieces)
+        iface = ctx.iface_mask
+        touch = tuple([i for i, p in enumerate(pieces) if p & iface])
         labelings, pairs, groups = _scoring(c, self.k, touch)
         owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
         between = [0] * (c * c)
@@ -440,33 +451,28 @@ class _Engine:
             a, b = owner[u], owner[v]
             if a != b:
                 between[a * c + b if a < b else b * c + a] += w
-        return labelings, [sum(map(between.__getitem__, ab)) for ab in pairs], groups
-
-    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> tuple:
-        """Per (adhesion projection, part count <= k) key, the weight and
-        parts of the first lightest grouping of a bag's pieces, in label
-        order."""
-        adh = ctx.adh_mask
-        touch = tuple(i for i, p in enumerate(pieces) if p & adh)
-        labelings, weights, groups = self._grouping_weights(ctx, pieces, touch)
-        adh_pieces = [pieces[j] & adh for j in touch]
+        weights = [sum(map(between.__getitem__, ab)) for ab in pairs]
+        touched = [pieces[j] for j in touch]
+        adh, child_masks = ctx.adh_mask, ctx.child_masks
         found: dict[tuple, tuple[int, int]] = {}
         for (pattern, nparts), idx in groups:
             i = min(idx, key=weights.__getitem__)
-            at = tuple(sorted(a for a in _merged(adh_pieces, pattern, nparts) if a))
-            got = found.get((at, nparts))
+            merged = _merged(touched, pattern, nparts)
+            cprojs = tuple([_proj_masks(merged, m) for m in child_masks]) if child_masks else ()
+            key = (_proj_masks(merged, adh), nparts, cprojs)
+            got = found.get(key)
             if got is None or (weights[i], i) < got:
-                found[(at, nparts)] = (weights[i], i)
-        return tuple(
-            (key, w, tuple(sorted(_merged(pieces, labelings[i], key[1]))))
-            for key, (w, i) in found.items()
-        )
+                found[key] = (weights[i], i)
+        return [
+            (key[0], key[1:], w, tuple(sorted(_merged(pieces, labelings[i], key[1]))))
+            for i, w, key in sorted([(i, w, key) for key, (w, i) in found.items()])
+        ]
 
     # .. evaluation ..
 
     def evaluate(self) -> None:
         """Recompute, bottom-up, the table of every node whose candidates
-        grew since the last call or whose children's values changed."""
+        improved since the last call or whose children's values changed."""
         changed: set[int] = set()
         for t in self.td.post_order():
             if t in self._dirty or any(c in changed for c in self.ctxs[t].children):
@@ -477,56 +483,46 @@ class _Engine:
         self._dirty.clear()
 
     def _solve_node(self, t: int) -> None:
-        """The node's table; a childless node's is its per-key minima."""
-        cands = self.cands[t]
-        if not self.ctxs[t].children:
-            self.tables[t] = {key: (w, (co, ())) for key, (w, co) in cands.best.items() if w <= self.s}
-            self.states += len({pa for pa, _ in cands.best}) * self.k
-            return
-        table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
-        for pa in sorted(cands.by_at):
-            for i in range(1, self.k + 1):
-                best = self._eval(t, pa, i)
-                if best is not None:
-                    table[(pa, i)] = best
-        self.states += len(cands.by_at) * self.k
-        self.tables[t] = table
-
-    def _eval(self, t: int, pa: MaskPartition, i: int):
-        """The value within the budget, or None, of one state of a node with
-        children that some candidate carries, with its trace: the first
-        lightest candidate and the (child, adhesion projection, part count)
-        entries a knapsack over the children picks for it."""
+        """The node's table: per (adhesion projection, part count) state,
+        the value within the budget, with its trace, of the first lightest
+        candidate carrying that projection once a knapsack over the children
+        adds the (child, adhesion projection, part count) entries it picks.
+        One knapsack per candidate fills every part count; a childless
+        node's candidates are their own values."""
         k, s = self.k, self.s
-        best = None
-        for co in self.cands[t].by_at[pa]:
-            if co.nparts > i or co.w_base > s:
-                continue
-            nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
-            for child, ckey, b, w_adh in co.child_items:
-                ctab = self.tables[child]
-                nu2: dict[int, tuple[int, tuple]] = {}
-                for r0, (v0, tr0) in nu.items():
-                    for ic in range(b, k + 1):
-                        r1 = r0 + ic - b
-                        if r1 > i:
-                            break
-                        ent = ctab.get((ckey, ic))
-                        if ent is None:
-                            continue
-                        v1 = v0 + ent[0] - w_adh
-                        if v1 > s:
-                            continue
-                        cur = nu2.get(r1)
-                        if cur is None or v1 < cur[0]:
-                            nu2[r1] = (v1, tr0 + ((child, ckey, ic),))
-                nu = nu2
-                if not nu:
-                    break
-            got = nu.get(i)
-            if got is not None and (best is None or got[0] < best[0]):
-                best = (got[0], (co, got[1]))
-        return best
+        table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
+        by_at = self.cands[t].by_at
+        for pa, group in by_at.items():
+            for co in group.values():
+                if co.w_base > s:
+                    continue
+                nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
+                for child, ckey, b, w_adh in co.child_items:
+                    ctab = self.tables[child]
+                    nu2: dict[int, tuple[int, tuple]] = {}
+                    for r0, (v0, tr0) in nu.items():
+                        for ic in range(b, k + 1):
+                            r1 = r0 + ic - b
+                            if r1 > k:
+                                break
+                            ent = ctab.get((ckey, ic))
+                            if ent is None:
+                                continue
+                            v1 = v0 + ent[0] - w_adh
+                            if v1 > s:
+                                continue
+                            cur = nu2.get(r1)
+                            if cur is None or v1 < cur[0]:
+                                nu2[r1] = (v1, tr0 + ((child, ckey, ic),))
+                    nu = nu2
+                    if not nu:
+                        break
+                for i, (v, trace) in nu.items():
+                    cur = table.get((pa, i))
+                    if cur is None or v < cur[0]:
+                        table[(pa, i)] = (v, (co, trace))
+        self.states += len(by_at) * k
+        self.tables[t] = table
 
     # .. traceback ..
 
@@ -535,9 +531,9 @@ class _Engine:
         ctx = self.ctxs[t]
         value, (co, child_choices) = self.tables[t][(pa, i)]
         parts = list(co.parts)
-        for child, ckey, ic in child_choices:
+        # The knapsack picks one entry per child, in ``children`` order.
+        for amask, (child, ckey, ic) in zip(ctx.child_masks, child_choices):
             sub = self.reconstruct(child, ckey, ic)
-            amask = ctx.child_adh[child]
             for cp in sub:
                 tr = cp & amask
                 if tr:

@@ -57,7 +57,6 @@ class SchemeStats:
     components: int | None = None
     trees_used: int = 0
     dp_states: int = 0
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,6 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
             sample_rate=rate,
             inverse_rate=inv_rate,
             sweep_cap=cap,
-            fallback=True,
         )
         return SchemeResult(partition, value, stats)
     sampled, total = swept

@@ -2,6 +2,9 @@ import os
 import random
 from pathlib import Path
 
+import pytest
+
+from kcut import decomposition
 from kcut.graph import MultiGraph
 
 # The CLI determinism tests run ``python -m kcut.cli`` in a subprocess; point
@@ -26,3 +29,19 @@ def connected_multigraph(seed: int, n_lo=5, n_hi=9, extra_hi=6, mult_max=3) -> M
         counts[key] = min(mult_max, counts.get(key, 0) + rng.randint(1, mult_max))
     edges = [(u, v, c) for (u, v), c in sorted(counts.items())]
     return MultiGraph.multi(n, edges)
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """The (before, after) potentials of every refinement the decomposition
+    builder makes during the test, in order."""
+    log = []
+    refine = decomposition.refine
+
+    def logged(td, w, s, g):
+        out = refine(td, w, s, g)
+        log.append((decomposition.potential(td, s), decomposition.potential(out, s)))
+        return out
+
+    monkeypatch.setattr(decomposition, "refine", logged)
+    return log

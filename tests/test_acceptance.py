@@ -158,24 +158,25 @@ def test_criterion_5_stripping_bound():
     print(f"\nACCEPTANCE 5 [stripping bound]: PASS ({checked} instances)")
 
 
-def test_criterion_6_decomposition_validity():
+def test_criterion_6_decomposition_validity(refinements):
     t0 = time.monotonic()
     exhaustive_checked = 0
     for idx in range(100):
         rng = random.Random(9000 + idx)
         g = connected_multigraph(9000 + idx, n_lo=3, n_hi=12, extra_hi=5, mult_max=2)
         s = rng.choice([1, 2, 3])
-        td, log = build_unbreakable_decomposition(g, s, with_log=True)
+        td = build_unbreakable_decomposition(g, s)
         validate_decomposition(td, g)
         assert is_compact(td, g)
         assert td.max_adhesion() <= s
-        for before, after in zip(log[::2], log[1::2]):
-            assert after < before, "potential must strictly decrease per refinement"
         if g.m <= 10:
             q = (s + 1) ** 5
             for bag in td.bags:
                 assert is_bag_unbreakable(g, bag, q, s)
             exhaustive_checked += 1
+    assert refinements
+    for before, after in refinements:
+        assert after < before, "potential must strictly decrease per refinement"
     print(
         f"\nACCEPTANCE 6 [decomposition validity]: PASS "
         f"(100 builds, {exhaustive_checked} exhaustive unbreakability checks, "

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from kcut import scheme
 from kcut.cli import main
+from kcut.graph import cut_weight, read_graph
 
 TRIANGLE = "p 3 3 multi\n0 1 1\n1 2 1\n0 2 1\n"
 C4 = "p 4 4 multi\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n"
@@ -61,6 +64,25 @@ class TestRunModes:
         )
         report = json.loads(out)
         assert code == 0 and report["value"] == "1"
+        assert report["stats"]["branch"] == "main" and report["stats"]["fallback"] is False
+
+    def test_approx_fallback(self, tmp_path, capsys, monkeypatch):
+        # With no distribution found within the sweep cap, the scheme falls
+        # back to the 2-approximation on the weighted graph.
+        monkeypatch.setattr(scheme, "_exact_sweep", lambda *args, **kwargs: None)
+        g = read_graph(BRIDGED)
+        res = scheme.solve(g, 2, Fraction(3, 10))
+        assert res.stats.branch == "fallback"
+        assert len(res.partition) == 2
+        assert res.value == cut_weight(g, res.partition)
+        path = write(tmp_path, "b.g", BRIDGED)
+        code, out, _ = run_cli(
+            ["run", "--input", path, "--k", "2", "--mode", "approx", "--epsilon", "0.3", "--json"],
+            capsys,
+        )
+        report = json.loads(out)
+        assert code == 0 and report["value"] == str(res.value)
+        assert report["stats"]["branch"] == "fallback" and report["stats"]["fallback"] is True
 
     def test_decompose(self, tmp_path, capsys):
         path = write(tmp_path, "b.g", BRIDGED)

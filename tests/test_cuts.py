@@ -7,9 +7,9 @@ from kcut.cuts import (
     OracleTooLargeError,
     ResidualNetwork,
     _min_cut_value,
+    _min_nontrivial_2cut,
     approx2_kcut,
     global_min_2cut,
-    min_nontrivial_2cut,
     min_st_edge_cut,
     min_vertex_separator,
     oracle_exact_kcut,
@@ -305,11 +305,11 @@ class TestGlobalMin2CutDifferential:
 class TestMinNontrivial2Cut:
     def test_disconnected_still_nontrivial(self):
         g = MultiGraph.multi(5, [(0, 1, 3), (2, 3), (3, 4), (2, 4)])
-        cut = min_nontrivial_2cut(g)
+        cut = _min_nontrivial_2cut(g, {})
         assert cut.order == 2  # cheapest split is inside the triangle
 
     def test_edgeless(self):
-        assert min_nontrivial_2cut(MultiGraph.multi(3, [])) is None
+        assert _min_nontrivial_2cut(MultiGraph.multi(3, []), {}) is None
 
 
 class TestMinVertexSeparator:

@@ -228,17 +228,18 @@ class TestBuild:
         validate_decomposition(td, g)
         assert td.max_adhesion() == 0
 
-    def test_random_validity_and_potential_log(self):
+    def test_random_validity_and_potential_log(self, refinements):
         rng = random.Random(77)
         for _ in range(40):
             g = random_connected(rng, n_max=10)
             s = rng.choice([1, 2, 3])
-            td, log = build_unbreakable_decomposition(g, s, with_log=True)
+            td = build_unbreakable_decomposition(g, s)
             validate_decomposition(td, g)
             assert is_compact(td, g)
             assert td.max_adhesion() <= s
-            for before, after in zip(log[::2], log[1::2]):
-                assert after < before
+        assert refinements
+        for before, after in refinements:
+            assert after < before
 
     def test_unbreakability_small_graphs(self):
         rng = random.Random(13)
@@ -329,7 +330,7 @@ class TestWitnessSearchWork:
         g = tree_plus_chords(seed, n, chords)
         assert dump_decomposition(build_unbreakable_decomposition(g, s)) == expected
 
-    def test_no_flow_network_per_pair(self, monkeypatch):
+    def test_no_flow_network_per_pair(self, monkeypatch, refinements):
         def forbidden(*args, **kwargs):
             raise AssertionError("the witness search must not run a full max-flow")
 
@@ -347,8 +348,10 @@ class TestWitnessSearchWork:
             monkeypatch.setattr(module, "global_min_2cut", forbidden, raising=False)
         monkeypatch.setattr(cuts.ResidualNetwork, "__init__", counting_init)
         g = tree_plus_chords(1, 40, 10)
-        td, log = build_unbreakable_decomposition(g, 1, with_log=True)
+        td = build_unbreakable_decomposition(g, 1)
         validate_decomposition(td, g)
         assert td.max_adhesion() <= 1
         # One vertex-separator network per refinement, none per searched pair.
-        assert len(built) == len(log) // 2 > 0
+        assert len(built) == len(refinements) > 0
+        for before, after in refinements:
+            assert after < before

@@ -23,7 +23,7 @@ from kcut.graph import InvalidInputError, MultiGraph, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
-from reference import ProjEdge, ProjectedTree, _edge_pairs, feasible_family, project_tree
+from reference import ProjEdge, ProjectedTree, _edge_pairs, _groupings, feasible_family, project_tree
 
 
 def path_graph(n):
@@ -547,7 +547,7 @@ class TestUnionEngine:
                 for ti in range(len(fam)):
                     pt = project_tree(fam.tree_edges(ti), td.adhesion(t))
                     family |= {mask_partition(p) for p in feasible_family(pt, k).partitions}
-                carried = set(union.cands[t].by_at) | {pa for pa, _ in union.cands[t].best}
+                carried = set(union.cands[t].by_at)
                 assert carried and carried <= family, t
             root = _values(union.tables[td.root])
             for ti in range(len(fam)):
@@ -556,6 +556,46 @@ class TestUnionEngine:
                 single.evaluate()
                 for key, v in _values(single.tables[td.root]).items():
                     assert root[key] <= v
+
+
+    def test_one_lightest_candidate_per_key(self):
+        # Every grouping into at most k parts of every guess's pieces taken
+        # in, weighed by a direct count over the bag's edges: each node keeps
+        # exactly one candidate per (adhesion projection, part count, child
+        # adhesion projections) key, and it weighs that key's minimum.
+        def proj(parts, m):
+            return tuple(sorted(p & m for p in parts if p & m))
+
+        with_children = 0
+        for g, k, s, td, fam in self._cases():
+            engine = _Engine(g, td, k, s)
+            for ti in range(len(fam)):
+                engine.add_tree(fam.tree_edges(ti))
+            for t in range(len(td)):
+                adh = _mask(td.adhesion(t))
+                cmasks = [_mask(td.adhesion(c)) for c in td.children(t)]
+                with_children += bool(cmasks)
+                bag = _mask(td.bags[t])
+                inside = [(u, v, w) for u, v, w in g.edges if bag >> u & 1 and bag >> v & 1]
+
+                def key_weight(parts):
+                    key = (proj(parts, adh), len(parts), tuple(proj(parts, m) for m in cmasks))
+                    w = sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in parts))
+                    return key, w
+
+                lightest: dict = {}
+                for pieces in engine.cands[t].seen_pieces:
+                    for parts in _groupings(pieces):
+                        if len(parts) <= k:
+                            key, w = key_weight(parts)
+                            lightest[key] = min(w, lightest.get(key, w))
+                kept = {}
+                for at, group in engine.cands[t].by_at.items():
+                    for (nparts, cprojs), co in group.items():
+                        assert key_weight(co.parts) == ((at, nparts, cprojs), co.w_base)
+                        kept[(at, nparts, cprojs)] = co.w_base
+                assert kept == lightest, t
+        assert with_children
 
 
 def clique_ring_graph(seed):
@@ -645,8 +685,7 @@ class TestOversizedBranch:
             engine.add_tree(fam.tree_edges(ti))
         checked = 0
         for cands in engine.cands.values():
-            coarse = [co for group in cands.by_at.values() for co in group]
-            for co in coarse + [co for _, co in cands.best.values()]:
+            for co in (co for group in cands.by_at.values() for co in group.values()):
                 bag = sum(co.parts)
                 inside = [(u, v, w) for u, v, w in g.edges if bag >> u & 1 and bag >> v & 1]
                 assert co.w_base == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in co.parts))

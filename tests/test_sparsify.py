@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from kcut import cuts, sparsify
-from kcut.cuts import min_nontrivial_2cut, oracle_exact_kcut
+from kcut.cuts import _min_nontrivial_2cut, oracle_exact_kcut
 from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, cc, cut_weight
 from kcut.sparsify import _binomial, sample_edges, sampling_rate, strip_cheap_2cuts
 
@@ -117,7 +117,7 @@ class TestSample:
                 extra = rng.randint(1, 4)
                 edges = list(g.edges) + [(g.n + i, g.n + i + 1, rng.randint(1, 3)) for i in range(extra - 1)]
                 g = MultiGraph.multi(g.n + extra, edges)
-            cut = min_nontrivial_2cut(g)
+            cut = _min_nontrivial_2cut(g, {})
             _, order = sampling_rate(g, Fraction(1, 2))
             assert order == cut.order
         assert sampling_rate(MultiGraph.multi(3, []), Fraction(1, 2)) == (Fraction(1), 0)
