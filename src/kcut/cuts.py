@@ -7,10 +7,12 @@ to a common denominator first, so every value returned here is exact.
 
 Every flow runs on one engine, ``ResidualNetwork``: shortest augmenting
 paths on directed arcs, stopped once the flow exceeds a bound.  The global
-minimum 2-cut takes its order from one Stoer–Wagner pass and its side from
-bounded decisions on one network of the graph; the s-t cuts and the vertex
-separators (on the node-split arcs) are the same call with a bound no flow
-reaches.
+minimum 2-cut takes its order from Nagamochi–Ibaraki contraction (maximum
+adjacency phases, each contracting every edge whose attachment reaches the
+best cut so far) and its side from bounded decisions on one network of the
+graph, one per class of vertices more than λ-connected; the s-t cuts and the
+vertex separators (on the node-split arcs) are the same call with a bound no
+flow reaches.
 """
 
 from __future__ import annotations
@@ -254,43 +256,87 @@ def min_vertex_separator(g: MultiGraph, z1: Iterable[int], z2: Iterable[int]) ->
     return SeparatorResult(x1, x2, sep, ordered)
 
 
-def _min_cut_value(g: MultiGraph) -> int:
-    """Order of a minimum 2-cut of a connected multigraph (Stoer–Wagner).
+def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
+    """Nagamochi–Ibaraki contraction of a connected multigraph: the lowered
+    bound λ̂ and a class root for every vertex, where every two vertices of
+    one class have λ(u, v) ≥ λ̂ + margin.
 
-    Each phase grows a maximum-adjacency order with a lazy heap; the last
-    vertex's attachment is the cut of the phase, and it is then merged into
-    the one before it.  O(n·m·log n) in all.
+    Each phase grows a maximum-adjacency order with a lazy heap and lowers λ̂
+    to the cut of every proper added set, kept as ``cut += deg(u) −
+    2·attach(u)``.  Scanning edge (u, v) gives λ(u, v) ≥ attach(v), so u and
+    v are united once attach(v) reaches λ̂ + margin, and so are the last two
+    vertices, whose λ is the last attachment.  The united classes are
+    contracted and phases repeat until one vertex is left or a phase unites
+    nothing.  With margin 0 every phase unites the last two and λ̂ ends at
+    the minimum cut; with margin 1 and λ̂ the minimum cut, each class has
+    λ above it.
     """
-    adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
     for u, v, w in g.edges:
         adj[u][v] = adj[v][u] = w
-    alive = set(range(g.n))
-    best = sum(w for _, _, w in g.edges)
-    while len(alive) > 1:
-        start = min(alive)
-        attach = dict.fromkeys(alive, 0)
-        added: set[int] = set()
-        heap = [(0, start)]
-        prev = last = start
+    while len(adj) > 1:
+        attach = dict.fromkeys(adj, 0)  # of the vertices not yet added
+        heap = [(0, next(iter(adj)))]
+        cut = 0
+        united = False
+        prev = last = -1
         while heap:
             neg, u = heapq.heappop(heap)
-            if u in added or -neg != attach[u]:
+            if attach.get(u) != -neg:
                 continue
-            added.add(u)
-            prev, last = last, u
+            prev, last, a_last = last, u, attach.pop(u)
+            cut += sum(adj[u].values()) - 2 * a_last
+            if cut < lam and attach:
+                lam = cut
+            ru = find(u)
             for v, w in adj[u].items():
-                if v not in added:
-                    attach[v] += w
-                    heapq.heappush(heap, (-attach[v], v))
-        assert len(added) == len(alive), "Stoer-Wagner expects a connected graph"
-        best = min(best, attach[last])
-        merged, adj[last] = adj[last], {}
-        for v, w in merged.items():
-            del adj[v][last]
-            if v != prev:
-                adj[prev][v] = adj[v][prev] = adj[prev].get(v, 0) + w
-        alive.remove(last)
-    return best
+                if v in attach:
+                    a = attach[v] = attach[v] + w
+                    heapq.heappush(heap, (-a, v))
+                    if a >= lam + margin:
+                        rv = find(v)
+                        if rv != ru:
+                            root[rv] = ru
+                            united = True
+        assert not attach, "contraction expects a connected graph"
+        if a_last >= lam + margin and find(prev) != find(last):
+            root[find(last)] = find(prev)
+            united = True
+        if not united:
+            break
+        rep = {u: find(u) for u in adj}
+        merged: dict[int, dict[int, int]] = {}
+        for u, nbrs in adj.items():
+            ru = rep[u]
+            out = merged.setdefault(ru, {})
+            for v, w in nbrs.items():
+                rv = rep[v]
+                if rv != ru:
+                    out[rv] = out.get(rv, 0) + w
+        adj = merged
+    return lam, [find(v) for v in range(g.n)]
+
+
+def _min_cut_value(g: MultiGraph) -> int:
+    """Order of a minimum 2-cut of a connected multigraph (Nagamochi–Ibaraki).
+
+    ``_contract`` at margin 0 from λ̂ = the least weighted degree: at most
+    n−1 phases of O(m·log n) each, and on clustered multigraphs far fewer,
+    since a phase contracts most heavy edges at once.
+    """
+    degree = [0] * g.n
+    for u, v, w in g.edges:
+        degree[u] += w
+        degree[v] += w
+    return _contract(g, min(degree), 0)[0]
 
 
 def global_min_2cut(g: MultiGraph) -> EdgeCut:
@@ -302,10 +348,11 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     disconnected graph the zero cut separating the component of the
     smallest vertex is returned.
 
-    One Stoer–Wagner pass gives the order λ*.  Then sinks t = 1..n-1 are
-    decided in order on one residual network, each with at most λ*+1
-    augmenting paths, and sinks already settled by a found side are
-    skipped: one decision per unresolved sink.
+    ``_min_cut_value`` gives the order λ*.  ``_contract`` at the fixed bound
+    λ* and margin 1 then splits the vertices into classes with λ > λ*.
+    Sinks t = 1..n-1 are decided in order on one residual network, each with
+    at most λ*+1 augmenting paths, skipping every sink that vertex 0's class
+    or an earlier decision settles: at most one decision per class.
     """
     _require_multi(g)
     if g.n < 2:
@@ -315,17 +362,23 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
         side = comps.parts[0]
         return EdgeCut.of(g, side)
     order = _min_cut_value(g)
+    _, root = _contract(g, order, 1)
     net = ResidualNetwork.of(g)
     # A sink t outside a found side S (found for sink t_S) adds nothing new:
     # S is a 0-t cut of order λ*, so λ(0,t) = λ* and S is a minimum 0-t
     # cut, hence the minimal side S_t ⊆ S.  Then t_S ∉ S_t, so S_t is a
     # minimum 0-t_S cut and S ⊆ S_t.  So S_t = S, with the same key.  Only
-    # sinks inside every side found so far are decided.
+    # sinks inside every side found so far are decided.  A sink t' in the
+    # class of 0 or of a decided sink t (a settled class) adds nothing
+    # either: λ(0,t') > λ* when λ(0,t) > λ*, and otherwise no cut of order
+    # λ* separates t' from t, so t' lies outside t's side.
     open_sinks = set(range(1, g.n))
+    settled = {root[0]}
     best: tuple[int, ...] | None = None
     for t in range(1, g.n):
-        if t not in open_sinks:
+        if t not in open_sinks or root[t] in settled:
             continue
+        settled.add(root[t])
         side = net.small_cut_side((0,), (t,), order)
         if side is None:
             continue

@@ -112,11 +112,11 @@ def sampling_rate(g1: MultiGraph, epsilon: Num) -> tuple[Fraction, int]:
     """The keep-probability ``min(1, 100 ln n / (eps^2 * mincut))``.
 
     ``mincut`` is the order of the nontrivial minimum 2-cut of ``g1``: the
-    least Stoer–Wagner value over the components that have edges.  Only the
-    order is needed, so no cut side is computed.  An edgeless graph gives
-    rate 1 and order 0.  Logarithms are natural; the float value is
-    converted exactly to a Fraction so that all later scaling stays
-    deterministic and exact.
+    least minimum cut over the components that have edges, each found by
+    Nagamochi–Ibaraki contraction.  Only the order is needed, so no cut side
+    and no flow is computed.  An edgeless graph gives rate 1 and order 0.
+    Logarithms are natural; the float value is converted exactly to a
+    Fraction so that all later scaling stays deterministic and exact.
     """
     epsilon = Fraction(epsilon)
     orders = [

@@ -238,13 +238,17 @@ def complete(n):
     return MultiGraph.multi(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
-def clustered_circulant(rng, sizes, mult_max):
-    """Circulants C_q(1, 2), q >= 3, joined in a ring by single light records."""
+def clustered_circulant(rng, sizes, mult_max, mult_min=1):
+    """Circulants C_q(1, 2), q >= 3, joined in a ring by single light records.
+
+    C_q(1, 2) is 4-edge-connected for q >= 5, and for q = 3, 4 its records
+    double up, so a cluster's connectivity is at least 4 * mult_min; the
+    ring's cuts are at most 4."""
     edges, base = [], 0
     for q in sizes:
         for i in range(q):
             for step in (1, 2):
-                edges.append((base + i, base + (i + step) % q, rng.randint(1, mult_max)))
+                edges.append((base + i, base + (i + step) % q, rng.randint(mult_min, mult_max)))
         base += q
     starts = [sum(sizes[:i]) for i in range(len(sizes))]
     for i, a in enumerate(starts):
@@ -295,11 +299,41 @@ class TestGlobalMin2CutDifferential:
             count += 1
         assert count >= 1000
 
+    def test_min_cut_value_matches_reference(self):
+        rng = random.Random(50)
+        graphs = [g for g in differential_corpus() if len(connected_components(g)) == 1]
+        for _ in range(40):  # heavy clusters: contraction unites many pairs per phase
+            sizes = [rng.randint(3, 12) for _ in range(rng.randint(2, 5))]
+            graphs.append(relabeled(rng, clustered_circulant(rng, sizes, 50)))
+        graphs += [MultiGraph.multi(2, [(0, 1, w)]) for w in (1, 7)]
+        for g in graphs:
+            assert _min_cut_value(g) == reference_global_min_2cut(g).order, g
+
     def test_min_cut_value_matches_enumeration(self):
         rng = random.Random(41)
         for _ in range(300):
             g = random_multigraph(rng, n_max=8, m_max=14, mult_max=rng.choice([1, 3]), connected=True)
             assert _min_cut_value(g) == brute_min_bipartition(g)
+
+
+class TestGlobalMin2CutDecisions:
+    def test_at_most_one_decision_per_heavy_cluster(self, monkeypatch):
+        decisions = []
+        decide = ResidualNetwork.small_cut_side
+
+        def counted(self, *args):
+            decisions.append(args)
+            return decide(self, *args)
+
+        monkeypatch.setattr(ResidualNetwork, "small_cut_side", counted)
+        rng = random.Random(22)
+        for clusters in (3, 4) * 10:
+            sizes = [rng.randint(3, 12) for _ in range(clusters)]
+            g = relabeled(rng, clustered_circulant(rng, sizes, 50, mult_min=2))
+            decisions.clear()
+            cut = global_min_2cut(g)
+            assert len(decisions) <= clusters, (sizes, len(decisions))
+            assert cut == reference_global_min_2cut(g)
 
 
 class TestMinNontrivial2Cut:
