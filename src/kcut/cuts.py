@@ -392,45 +392,24 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     return cut
 
 
-def _min_nontrivial_2cut(g: MultiGraph, memo: dict[MultiGraph, EdgeCut]) -> EdgeCut | None:
-    """Minimum 2-cut with at least one crossing edge, or None if g has no
-    edges, with each component subgraph's minimum cut looked up first in
-    ``memo``, a dict owned by the caller.
-
-    Works on disconnected graphs: the cheapest way to get one crossing edge
-    splits a single component minimally and spreads the rest around it.
-    """
-    _require_multi(g)
-    if not g.edges:
-        return None
-    comps = connected_components(g)
-    best: EdgeCut | None = None
-    for part in comps.parts:
-        if len(part) < 2:
-            continue
-        sub, labels = g.induced_subgraph(part)
-        local = memo.get(sub)
-        if local is None:
-            local = memo[sub] = global_min_2cut(sub)
-        side = frozenset(labels[v] for v in local.side_a)
-        cand = EdgeCut.of(g, side)
-        assert cand.order == local.order
-        if best is None or (cand.order, sorted(cand.side_a)) < (best.order, sorted(best.side_a)):
-            best = cand
-    return best
-
-
 # -- greedy splitting 2-approximation --------------------------------------
 
 
 def approx2_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
-    """Greedy splitting approximation for minimum k-cut.
+    """Greedy splitting approximation for minimum k-cut (Saran and Vazirani,
+    "Finding k cuts within twice the optimal", SIAM J. Comput. 1995).
 
-    Repeatedly applies the cheapest nontrivial 2-cut inside any current part
-    until k parts exist; with at least k components the split is free.  The
-    result is within a factor 2 of optimal.
+    Repeatedly splits the current part with the cheapest minimum 2-cut,
+    ties broken toward the least vertex, until k parts exist; with at least
+    k components the split is free.  The result is within a factor 2 of
+    optimal.
     """
-    return _approx2_kcut(g, k, {})
+    h, scale = to_integer_multigraph(g)
+    parts, splits = _greedy_splits(h, k)
+    partition = Partition.from_parts(parts)
+    w_a = cut_weight(g, partition)
+    assert Fraction(w_a) == sum(order for order, _ in splits) * scale
+    return partition, w_a
 
 
 def merge_to_k_parts(parts: Iterable[Iterable[int]], k: int) -> list[set[int]]:
@@ -443,40 +422,38 @@ def merge_to_k_parts(parts: Iterable[Iterable[int]], k: int) -> list[set[int]]:
     return out
 
 
-def _approx2_kcut(g: MultiGraph, k: int, memo: dict[MultiGraph, EdgeCut]) -> tuple[Partition, Num]:
-    """``approx2_kcut`` with the minimum cuts of component subgraphs kept in
-    ``memo``, so parts left whole by a round are not cut again."""
-    if not 1 <= k <= g.n:
+def _greedy_splits(h: MultiGraph, k: int) -> tuple[list[set[int]], list[tuple[int, frozenset[int]]]]:
+    """The greedy 2-approximation's rounds on a multigraph: its final parts
+    and, for each round in order, the order of the cut it took and the side
+    it split off.
+
+    The parts start as the components of h, merged down to k if there are
+    more, and every part stays connected, since both sides of a minimum cut
+    of a connected graph are connected.  Each part's order comes from
+    ``_min_cut_value`` once, in the first round that sees it; only the part
+    a round splits, the least by (order, least vertex), gets its side from
+    ``global_min_2cut``, which contains that least vertex.
+    """
+    if not 1 <= k <= h.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
-    h, scale = to_integer_multigraph(g)
     parts = merge_to_k_parts(connected_components(h).parts, k)
-    total = 0
+    splits: list[tuple[int, frozenset[int]]] = []
+    heap: list[tuple[int, int, MultiGraph, list[int], set[int]]] = []
+    new = list(parts)
     while len(parts) < k:
-        best: tuple[int, int, frozenset[int]] | None = None
-        for part in sorted(parts, key=min):
-            if len(part) < 2:
-                continue
-            sub, labels = h.induced_subgraph(part)
-            cut = _min_nontrivial_2cut(sub, memo)
-            if cut is None:
-                cut = EdgeCut.of(sub, frozenset([0]))
-            side = frozenset(labels[v] for v in cut.side_a)
-            key = (cut.order, min(part))
-            if best is None or key < (best[0], best[1]):
-                best = (int(cut.order), min(part), side)
-        if best is None:
-            raise InvalidInputError("cannot split singleton parts further")
-        _, _, side = best
-        for i, part in enumerate(parts):
-            if side <= part:
-                rest = part - side
-                parts[i : i + 1] = [set(side), set(rest)]
-                break
-        total += best[0]
-    partition = Partition.from_parts(parts)
-    w_a = cut_weight(g, partition)
-    assert Fraction(w_a) == Fraction(total) * scale
-    return partition, w_a
+        for part in new:
+            if len(part) > 1:
+                sub, labels = h.induced_subgraph(part)
+                heapq.heappush(heap, (_min_cut_value(sub), min(part), sub, labels, part))
+        order, _, sub, labels, part = heapq.heappop(heap)
+        cut = global_min_2cut(sub)
+        assert cut.order == order
+        side = {labels[v] for v in cut.side_a}
+        new = [side, part - side]
+        parts.remove(part)
+        parts += new
+        splits.append((order, frozenset(side)))
+    return parts, splits
 
 
 # -- exact oracle -----------------------------------------------------------

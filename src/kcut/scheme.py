@@ -140,7 +140,7 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
 
     eps_inner = epsilon / 10
     with _stage("estimate"):
-        _, w_a = approx2_kcut(gw, k)
+        approx, w_a = approx2_kcut(gw, k)
     assert w_a > 0, "zero optimum is handled by the component branch"
     lower = Fraction(w_a) / 2
     with _stage("rounding"):
@@ -197,7 +197,6 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
         swept = _exact_sweep(g2, comps2, k, cap, dp_stats)
     if swept is None:
         # Sampling failure: no feasible distribution within the sweep cap.
-        partition, value = approx2_kcut(gw, k)
         stats = SchemeStats(
             branch="fallback",
             epsilon=epsilon,
@@ -207,7 +206,7 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
             inverse_rate=inv_rate,
             sweep_cap=cap,
         )
-        return SchemeResult(partition, value, stats)
+        return SchemeResult(approx, w_a, stats)
     sampled, total = swept
     partition = rounded.lift_partition(sampled)
     assert len(partition) == k

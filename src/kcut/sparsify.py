@@ -13,26 +13,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cuts import _approx2_kcut, _min_cut_value, _min_nontrivial_2cut
-from .graph import (
-    MULTI,
-    EdgeCut,
-    InvalidInputError,
-    MultiGraph,
-    Num,
-    cc,
-    connected_components,
-)
+from .cuts import _greedy_splits, _min_cut_value
+from .graph import MULTI, InvalidInputError, MultiGraph, Num, cc, connected_components
 
 
 @dataclass(frozen=True)
 class StripResult:
     """Outcome of the greedy 2-cut stripping stage.
 
-    ``removed_weight`` counts removed multiplicity; it never exceeds twice
-    ``epsilon`` times the optimum because each of the at most ``k - 1``
-    rounds removes at most ``epsilon * w_a / (k - 1)`` edges and the greedy
-    estimate ``w_a`` is at most twice the optimum.
+    ``iterations`` is the number of the greedy 2-approximation's splits that
+    were stripped, and ``removed_weight`` the sum of their orders.  It never
+    exceeds twice ``epsilon`` times the optimum because each of the at most
+    ``k - 1`` stripped splits costs at most ``epsilon * w_a / (k - 1)`` and
+    the greedy estimate ``w_a``, the sum of all its splits' orders, is at
+    most twice the optimum.
     """
 
     graph: MultiGraph
@@ -59,9 +53,13 @@ class SampleResult:
 def strip_cheap_2cuts(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
     """Remove all edges of cheap nontrivial 2-cuts until none remain.
 
-    Loops while the graph has fewer than k components and its minimum
-    nontrivial 2-cut costs at most ``epsilon * w_a / (k - 1)``; each round
-    removes the crossing edges of one such cut.  Deterministic.
+    Runs the greedy splitting 2-approximation once; ``w_a`` is the sum of
+    its splits' orders.  Strips the longest prefix of its splits whose
+    orders are at most ``epsilon * w_a / (k - 1)`` by dropping every edge
+    between that prefix's parts.  Removing the minimum nontrivial 2-cut
+    while it is that cheap and fewer than k components exist does the same:
+    after j removals the components are the greedy's parts after j splits,
+    and the next minimum nontrivial 2-cut is split j+1.  Deterministic.
     """
     if g.mode != MULTI:
         raise InvalidInputError("stripping expects an unweighted multigraph")
@@ -70,40 +68,33 @@ def strip_cheap_2cuts(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise InvalidInputError("epsilon must lie in (0, 1]")
-    if cc(g) >= k:
+    _, splits = _greedy_splits(g, k)
+    if not splits:
         raise InvalidInputError("graph already has at least k components")
 
-    # Minimum cuts of component subgraphs, shared by the estimate and every
-    # round: the first round meets the whole graph again, later rounds the
-    # components the estimate already cut.
-    memo: dict[MultiGraph, EdgeCut] = {}
-    _, w_a = _approx2_kcut(g, k, memo)
+    w_a = sum(order for order, _ in splits)
     threshold = epsilon * Fraction(w_a) / (k - 1)
-    current = g
-    removed = 0
+    # A vertex's label is the last stripped split whose side holds it.  Each
+    # side lies inside one part of the splits before it, so two vertices of
+    # one component share a label exactly when they share a part after the
+    # prefix; no edge joins two components.
+    label = [0] * g.n
     iterations = 0
-    while cc(current) < k:
-        cut = _min_nontrivial_2cut(current, memo)
-        if cut is None or cut.order > threshold:
+    for order, side in splits:
+        if order > threshold:
             break
-        crossing = set()
-        for i, (u, v, _) in enumerate(current.edges):
-            if (u in cut.side_a) != (v in cut.side_a):
-                crossing.add(i)
-        removed += sum(w for i, (_, _, w) in enumerate(current.edges) if i in crossing)
-        current = MultiGraph(
-            current.n,
-            tuple(e for i, e in enumerate(current.edges) if i not in crossing),
-            MULTI,
-        )
         iterations += 1
-        assert iterations <= k - 1, "each removal adds a component"
+        for v in side:
+            label[v] = iterations
+    stripped = MultiGraph(g.n, tuple(e for e in g.edges if label[e[0]] == label[e[1]]), MULTI)
+    removed = sum(order for order, _ in splits[:iterations])
+    assert removed == g.total_weight() - stripped.total_weight()
     return StripResult(
-        graph=current,
+        graph=stripped,
         removed_weight=removed,
-        hit_k_components=cc(current) >= k,
+        hit_k_components=iterations == len(splits),
         iterations=iterations,
-        approx_weight=int(w_a),
+        approx_weight=w_a,
         threshold=threshold,
     )
 

@@ -6,14 +6,21 @@ build a tree's projection and feasible family the way the paper states them
 a family); ``is_bag_unbreakable`` checks edge-unbreakability by brute force;
 ``crossings`` counts the tree edges a partition cuts.  The engine helpers
 they share come from ``kcut.dp``.
+
+``reference_global_min_2cut`` runs a fresh matrix max-flow per sink, and
+``reference_approx2_kcut`` and ``reference_strip`` run the greedy
+2-approximation and the stripping stage as one round loop each, every round
+cutting every part again with that reference cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from kcut.cuts import merge_to_k_parts, to_integer_multigraph
 from kcut.dp import (
     MaskPartition,
     _cut_components,
@@ -25,7 +32,20 @@ from kcut.dp import (
     guess_budget,
     unmask_partition,
 )
-from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, Partition, uf_find, uf_union
+from kcut.graph import (
+    MULTI,
+    EdgeCut,
+    InvalidInputError,
+    MultiGraph,
+    Num,
+    Partition,
+    cc,
+    connected_components,
+    cut_weight,
+    uf_find,
+    uf_union,
+)
+from kcut.sparsify import StripResult
 
 # -- spanning tree projection ------------------------------------------------
 
@@ -178,3 +198,108 @@ def crossings(tree: Iterable[tuple[int, int]], p: Partition) -> int:
         if label[u] != label[v]:
             count += 1
     return count
+
+
+# -- minimum cuts, the greedy 2-approximation and stripping -----------------
+
+
+def matrix_max_flow(g, s, t):
+    """Maximum s-t flow value and the residual reach of s, by depth-first
+    augmenting paths on a capacity matrix."""
+    cap = [[0] * g.n for _ in range(g.n)]
+    for u, v, w in g.edges:
+        cap[u][v] += w
+        cap[v][u] += w
+    value = 0
+    while True:
+        prev = {s: None}
+        stack = [s]
+        while stack and t not in prev:
+            u = stack.pop()
+            for v in range(g.n):
+                if cap[u][v] and v not in prev:
+                    prev[v] = u
+                    stack.append(v)
+        if t not in prev:
+            return value, frozenset(prev)
+        path = []
+        v = t
+        while prev[v] is not None:
+            path.append((prev[v], v))
+            v = prev[v]
+        pushed = min(cap[a][b] for a, b in path)
+        for a, b in path:
+            cap[a][b] -= pushed
+            cap[b][a] += pushed
+        value += pushed
+
+
+def reference_global_min_2cut(g):
+    """The n-1 fresh max-flow loop global_min_2cut used to run: the least
+    (order, sorted minimal 0-t side) over all sinks t."""
+    comps = connected_components(g)
+    if len(comps) > 1:
+        return EdgeCut.of(g, comps.parts[0])
+    best = None
+    for t in range(1, g.n):
+        value, reach = matrix_max_flow(g, 0, t)
+        key = (value, tuple(sorted(reach)))
+        if best is None or key < best:
+            best = key
+    return EdgeCut.of(g, best[1])
+
+
+def reference_min_nontrivial_2cut(g: MultiGraph) -> EdgeCut | None:
+    """The least (order, sorted side) cut with a crossing edge: one component
+    split by its reference minimum cut, the rest spread around it.  None if
+    g has no edges."""
+    best = None
+    for part in connected_components(g).parts:
+        if len(part) < 2:
+            continue
+        sub, labels = g.induced_subgraph(part)
+        local = reference_global_min_2cut(sub)
+        key = (local.order, tuple(sorted(labels[v] for v in local.side_a)))
+        if best is None or key < best:
+            best = key
+    return None if best is None else EdgeCut.of(g, best[1])
+
+
+def reference_approx2_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
+    """The greedy splitting 2-approximation as a round loop: each round cuts
+    every part and splits the least by (order, least vertex)."""
+    h, _ = to_integer_multigraph(g)
+    parts = merge_to_k_parts(connected_components(h).parts, k)
+    while len(parts) < k:
+        best = None
+        for part in parts:
+            if len(part) < 2:
+                continue
+            sub, labels = h.induced_subgraph(part)
+            cut = reference_min_nontrivial_2cut(sub)
+            key = (cut.order, min(part))
+            if best is None or key < best[0]:
+                best = (key, part, {labels[v] for v in cut.side_a})
+        _, part, side = best
+        parts.remove(part)
+        parts += [side, part - side]
+    partition = Partition.from_parts(parts)
+    return partition, cut_weight(g, partition)
+
+
+def reference_strip(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
+    """Stripping as a round loop: while fewer than k components exist and
+    the minimum nontrivial 2-cut costs at most epsilon * w_a / (k - 1),
+    remove its crossing edges.  Expects fewer than k components."""
+    _, w_a = reference_approx2_kcut(g, k)
+    threshold = Fraction(epsilon) * w_a / (k - 1)
+    current, removed, iterations = g, 0, 0
+    while cc(current) < k:
+        cut = reference_min_nontrivial_2cut(current)
+        if cut is None or cut.order > threshold:
+            break
+        crossing = [(u in cut.side_a) != (v in cut.side_a) for u, v, _ in current.edges]
+        removed += sum(w for (_, _, w), c in zip(current.edges, crossing) if c)
+        current = MultiGraph(current.n, tuple(e for e, c in zip(current.edges, crossing) if not c), MULTI)
+        iterations += 1
+    return StripResult(current, removed, cc(current) >= k, iterations, w_a, threshold)

@@ -68,10 +68,20 @@ class TestRunModes:
 
     def test_approx_fallback(self, tmp_path, capsys, monkeypatch):
         # With no distribution found within the sweep cap, the scheme falls
-        # back to the 2-approximation on the weighted graph.
+        # back to the 2-approximation on the weighted graph: the estimate's
+        # run, not a second one.
         monkeypatch.setattr(scheme, "_exact_sweep", lambda *args, **kwargs: None)
+        calls = []
+        approx2 = scheme.approx2_kcut
+
+        def counted(*args):
+            calls.append(args)
+            return approx2(*args)
+
+        monkeypatch.setattr(scheme, "approx2_kcut", counted)
         g = read_graph(BRIDGED)
         res = scheme.solve(g, 2, Fraction(3, 10))
+        assert len(calls) == 1
         assert res.stats.branch == "fallback"
         assert len(res.partition) == 2
         assert res.value == cut_weight(g, res.partition)

@@ -7,7 +7,6 @@ from kcut.cuts import (
     OracleTooLargeError,
     ResidualNetwork,
     _min_cut_value,
-    _min_nontrivial_2cut,
     approx2_kcut,
     global_min_2cut,
     min_st_edge_cut,
@@ -15,6 +14,8 @@ from kcut.cuts import (
     oracle_exact_kcut,
 )
 from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, Partition, connected_components, cut_weight
+from kcut.sparsify import strip_cheap_2cuts
+from reference import reference_global_min_2cut
 
 
 def path(n):
@@ -188,52 +189,6 @@ class TestGlobalMin2Cut:
             assert cut.order >= 1
 
 
-def matrix_max_flow(g, s, t):
-    """Maximum s-t flow value and the residual reach of s, by depth-first
-    augmenting paths on a capacity matrix."""
-    cap = [[0] * g.n for _ in range(g.n)]
-    for u, v, w in g.edges:
-        cap[u][v] += w
-        cap[v][u] += w
-    value = 0
-    while True:
-        prev = {s: None}
-        stack = [s]
-        while stack and t not in prev:
-            u = stack.pop()
-            for v in range(g.n):
-                if cap[u][v] and v not in prev:
-                    prev[v] = u
-                    stack.append(v)
-        if t not in prev:
-            return value, frozenset(prev)
-        path = []
-        v = t
-        while prev[v] is not None:
-            path.append((prev[v], v))
-            v = prev[v]
-        pushed = min(cap[a][b] for a, b in path)
-        for a, b in path:
-            cap[a][b] -= pushed
-            cap[b][a] += pushed
-        value += pushed
-
-
-def reference_global_min_2cut(g):
-    """The n-1 fresh max-flow loop global_min_2cut used to run: the least
-    (order, sorted minimal 0-t side) over all sinks t."""
-    comps = connected_components(g)
-    if len(comps) > 1:
-        return EdgeCut.of(g, comps.parts[0])
-    best = None
-    for t in range(1, g.n):
-        value, reach = matrix_max_flow(g, 0, t)
-        key = (value, tuple(sorted(reach)))
-        if best is None or key < best:
-            best = key
-    return EdgeCut.of(g, best[1])
-
-
 def complete(n):
     return MultiGraph.multi(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
@@ -334,16 +289,6 @@ class TestGlobalMin2CutDecisions:
             cut = global_min_2cut(g)
             assert len(decisions) <= clusters, (sizes, len(decisions))
             assert cut == reference_global_min_2cut(g)
-
-
-class TestMinNontrivial2Cut:
-    def test_disconnected_still_nontrivial(self):
-        g = MultiGraph.multi(5, [(0, 1, 3), (2, 3), (3, 4), (2, 4)])
-        cut = _min_nontrivial_2cut(g, {})
-        assert cut.order == 2  # cheapest split is inside the triangle
-
-    def test_edgeless(self):
-        assert _min_nontrivial_2cut(MultiGraph.multi(3, []), {}) is None
 
 
 class TestMinVertexSeparator:
@@ -486,6 +431,16 @@ class TestApprox2:
         g = MultiGraph.multi(4, [(0, 1), (0, 2), (0, 3)])
         _, w = approx2_kcut(g, 2)
         assert w == 1
+
+    def test_disconnected_still_nontrivial(self):
+        # The cheapest split is inside the triangle, not the 3-fold pair.
+        g = MultiGraph.multi(5, [(0, 1, 3), (2, 3), (3, 4), (2, 4)])
+        p, w = approx2_kcut(g, 3)
+        assert w == 2
+        assert p == Partition.from_parts([{0, 1}, {2}, {3, 4}])
+        strip = strip_cheap_2cuts(g, 3, 1)
+        assert strip.approx_weight == 2 and strip.threshold == 1
+        assert strip.iterations == 0 and strip.graph == g
 
     def test_c4_k3_within_factor(self):
         _, w = approx2_kcut(cycle(4), 3)

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from kcut import cuts, sparsify
-from kcut.cuts import _min_nontrivial_2cut, oracle_exact_kcut
-from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, cc, cut_weight
+from kcut.cuts import approx2_kcut, oracle_exact_kcut
+from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, cc, connected_components
 from kcut.sparsify import _binomial, sample_edges, sampling_rate, strip_cheap_2cuts
+from reference import reference_approx2_kcut, reference_global_min_2cut, reference_strip
 
 
 def two_triangles_bridge():
@@ -28,6 +29,19 @@ def random_connected(rng, n_max=9, extra=6, mult_max=2):
     return MultiGraph.multi(
         n, [(min(u, v), max(u, v), rng.randint(1, mult_max)) for u, v in edges]
     )
+
+
+def greedy_corpus(rng):
+    """Seeded small multigraphs, a third of them disconnected, half of
+    those with an isolated vertex."""
+    for i in range(240):
+        g = random_connected(rng, n_max=9, extra=rng.randint(0, 10), mult_max=rng.choice([1, 3]))
+        if i % 3 == 0:
+            h = random_connected(rng, n_max=5, extra=3)
+            isolated = rng.randint(0, 1)
+            shifted = [(u + g.n, v + g.n, w) for u, v, w in h.edges]
+            g = MultiGraph.multi(g.n + h.n + isolated, list(g.edges) + shifted)
+        yield g
 
 
 class TestStrip:
@@ -83,8 +97,9 @@ class TestStrip:
                     assert order > res.threshold
 
     def test_each_component_graph_cut_once_per_call(self, monkeypatch):
-        # The estimate and the stripping rounds share one memo, so no
-        # component subgraph reaches global_min_2cut twice in one call.
+        # Stripping replays no round of the greedy 2-approximation, and each
+        # greedy round finds the side of the one part it splits, so a call
+        # runs global_min_2cut once per split: k - cc(g) times.
         original = cuts.global_min_2cut
         seen = []
 
@@ -96,9 +111,37 @@ class TestStrip:
         rng = random.Random(13)
         for _ in range(40):
             g = random_connected(rng, n_max=10, extra=8)
+            k = rng.choice([2, 3])
             seen.clear()
-            strip_cheap_2cuts(g, rng.choice([2, 3]), Fraction(1))
-            assert seen and len(seen) == len(set(seen))
+            strip_cheap_2cuts(g, k, Fraction(1))
+            assert len(seen) == k - cc(g)
+
+
+class TestGreedyDifferential:
+    """Stripping and the 2-approximation against the round loops of
+    ``reference``, which cut every part again in every round."""
+
+    def test_strip_matches_reference_round_loop(self):
+        count = 0
+        for g in greedy_corpus(random.Random(2029)):
+            for k in range(2, min(4, g.n) + 1):
+                if cc(g) >= k:
+                    continue
+                for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                    assert strip_cheap_2cuts(g, k, eps) == reference_strip(g, k, eps), (g, k, eps)
+                    count += 1
+        assert count >= 1000
+
+    def test_approx2_matches_reference_round_loop(self):
+        rng = random.Random(2030)
+        count = 0
+        for g in greedy_corpus(rng):
+            weighted = MultiGraph.weighted(g.n, [(u, v, Fraction(w, rng.randint(1, 4))) for u, v, w in g.edges])
+            for h in (g, weighted):
+                for k in range(1, min(4, g.n) + 1):
+                    assert approx2_kcut(h, k) == reference_approx2_kcut(h, k), (h, k)
+                    count += 1
+        assert count >= 1000
 
 
 class TestSample:
@@ -117,9 +160,13 @@ class TestSample:
                 extra = rng.randint(1, 4)
                 edges = list(g.edges) + [(g.n + i, g.n + i + 1, rng.randint(1, 3)) for i in range(extra - 1)]
                 g = MultiGraph.multi(g.n + extra, edges)
-            cut = _min_nontrivial_2cut(g, {})
+            orders = [
+                reference_global_min_2cut(g.induced_subgraph(part)[0]).order
+                for part in connected_components(g).parts
+                if len(part) > 1
+            ]
             _, order = sampling_rate(g, Fraction(1, 2))
-            assert order == cut.order
+            assert order == min(orders)
         assert sampling_rate(MultiGraph.multi(3, []), Fraction(1, 2)) == (Fraction(1), 0)
 
     def test_epsilon_guard(self):
