@@ -12,7 +12,9 @@ adjacency phases, each contracting every edge whose attachment reaches the
 best cut so far) and its side from bounded decisions on one network of the
 graph, one per class of vertices more than λ-connected; the s-t cuts and the
 vertex separators (on the node-split arcs) are the same call with a bound no
-flow reaches.
+flow reaches.  The same contraction at a fixed bound s, finished by bounded
+decisions along Gusfield's equivalent-flow tree, gives the exact classes of
+vertices more than s-connected that the witness search works from.
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ class ResidualNetwork:
         """
         res = self.bounded_flow(sources, sinks, s)
         return None if res is None else frozenset(res[2])
-
-    def has_cut_at_most(self, s: int) -> bool:
-        """Whether some 2-cut has order at most s: the global minimum cut is
-        the minimum over t of the 0-t cut, so stop at the first small one."""
-        return any(self.small_cut_side((0,), (t,), s) is not None for t in range(1, self.n))
 
 
 def _require_multi(g: MultiGraph) -> None:
@@ -251,19 +248,24 @@ def min_vertex_separator(g: MultiGraph, z1: Iterable[int], z2: Iterable[int]) ->
 
 
 def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
-    """Nagamochi–Ibaraki contraction of a connected multigraph: the lowered
-    bound λ̂ and a class root for every vertex, where every two vertices of
-    one class have λ(u, v) ≥ λ̂ + margin.
+    """Nagamochi–Ibaraki contraction of a connected multigraph: the bound λ̂
+    and a class root for every vertex, where every two vertices of one class
+    have λ(u, v) ≥ λ̂ + margin.
 
-    Each phase grows a maximum-adjacency order with a lazy heap and lowers λ̂
-    to the cut of every proper added set, kept as ``cut += deg(u) −
-    2·attach(u)``.  Scanning edge (u, v) gives λ(u, v) ≥ attach(v), so u and
-    v are united once attach(v) reaches λ̂ + margin, and so are the last two
-    vertices, whose λ is the last attachment.  The united classes are
-    contracted and phases repeat until one vertex is left or a phase unites
-    nothing.  With margin 0 every phase unites the last two and λ̂ ends at
-    the minimum cut; with margin 1 and λ̂ the minimum cut, each class has
-    λ above it.
+    Each phase grows a maximum-adjacency order with a lazy heap, keeping the
+    cut of the added set as ``cut += deg(u) − 2·attach(u)``.  Scanning edge
+    (u, v) gives λ(u, v) ≥ attach(v), so u and v are united once attach(v)
+    reaches λ̂ + margin, and so are the last two vertices, whose λ is the
+    last attachment.  The united classes are contracted and phases repeat
+    until one vertex is left or a phase unites nothing.
+
+    Only at margin 0 is λ̂ lowered, to the cut of every proper added set:
+    every phase then unites the last two and λ̂ ends at the minimum cut.  At
+    margin 1, λ̂ is a fixed bound b and each class has λ > b.  No cut of
+    order ≤ b splits a class, so such a cut survives every contraction and
+    leaves two classes; without one, every contracted graph has its minimum
+    cut above b, and every phase unites its last two.  So the vertices form
+    one class exactly when no cut has order ≤ b.
     """
     root = list(range(g.n))
 
@@ -288,7 +290,7 @@ def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
                 continue
             prev, last, a_last = last, u, attach.pop(u)
             cut += sum(adj[u].values()) - 2 * a_last
-            if cut < lam and attach:
+            if not margin and cut < lam and attach:
                 lam = cut
             ru = find(u)
             for v, w in adj[u].items():
@@ -319,6 +321,36 @@ def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
     return lam, [find(v) for v in range(g.n)]
 
 
+def _classes_above(g: MultiGraph, s: int, net: ResidualNetwork) -> list[int]:
+    """The classes of a connected multigraph's vertices under λ(u, v) > s:
+    for every vertex, the least vertex of its class.  ``net`` is
+    ``ResidualNetwork.of(g)``.
+
+    Gusfield's equivalent-flow tree ("Very simple methods for all pairs
+    network flow analysis", SIAM J. Comput. 1990) with decisions bounded by
+    s: each vertex i = 1..n-1 is decided against its tree parent t < i, and
+    the side of a cut of order <= s re-hangs the later vertices with parent
+    t on i's side to i.  A flow above s puts i in t's class instead.  No cut
+    of order <= s separates such a pair, so the run is Gusfield's on the
+    graph with these pairs merged, where every tree edge left has λ <= s.
+    Pairs that ``_contract`` at the fixed bound s unites are settled without
+    a flow.
+    """
+    _, root = _contract(g, s, 1)
+    label = list(range(g.n))
+    parent = [0] * g.n
+    for i in range(1, g.n):
+        t = parent[i]
+        side = None if root[i] == root[t] else net.small_cut_side((i,), (t,), s)
+        if side is None:
+            label[i] = label[t]
+            continue
+        for j in side:
+            if j > i and parent[j] == t:
+                parent[j] = i
+    return label
+
+
 def _min_cut_value(g: MultiGraph) -> int:
     """Order of a minimum 2-cut of a connected multigraph (Nagamochi–Ibaraki).
 
@@ -342,11 +374,8 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     disconnected graph the zero cut separating the component of the
     smallest vertex is returned.
 
-    ``_min_cut_value`` gives the order λ*.  ``_contract`` at the fixed bound
-    λ* and margin 1 then splits the vertices into classes with λ > λ*.
-    Sinks t = 1..n-1 are decided in order on one residual network, each with
-    at most λ*+1 augmenting paths, skipping every sink that vertex 0's class
-    or an earlier decision settles: at most one decision per class.
+    ``_min_cut_value`` gives the order λ*, and ``_min_2cut_of_order`` the
+    side.
     """
     _require_multi(g)
     if g.n < 2:
@@ -355,7 +384,19 @@ def global_min_2cut(g: MultiGraph) -> EdgeCut:
     if len(comps) > 1:
         side = comps.parts[0]
         return EdgeCut.of(g, side)
-    order = _min_cut_value(g)
+    return _min_2cut_of_order(g, _min_cut_value(g))
+
+
+def _min_2cut_of_order(g: MultiGraph, order: int) -> EdgeCut:
+    """``global_min_2cut`` of a connected multigraph whose minimum cut order
+    λ* = ``order`` is known.
+
+    ``_contract`` at the fixed bound λ* and margin 1 splits the vertices
+    into classes with λ > λ*.  Sinks t = 1..n-1 are decided in order on one
+    residual network, each with at most λ*+1 augmenting paths, skipping
+    every sink that vertex 0's class or an earlier decision settles: at most
+    one decision per class.
+    """
     _, root = _contract(g, order, 1)
     net = ResidualNetwork.of(g)
     # A sink t outside a found side S (found for sink t_S) adds nothing new:
@@ -426,7 +467,8 @@ def _greedy_splits(h: MultiGraph, k: int) -> tuple[list[set[int]], list[tuple[in
     of a connected graph are connected.  Each part's order comes from
     ``_min_cut_value`` once, in the first round that sees it; only the part
     a round splits, the least by (order, least vertex), gets its side from
-    ``global_min_2cut``, which contains that least vertex.
+    ``_min_2cut_of_order`` with that order: ``global_min_2cut``'s side,
+    which contains that least vertex.
     """
     if not 1 <= k <= h.n:
         raise InvalidInputError("k must lie between 1 and the vertex count")
@@ -440,8 +482,7 @@ def _greedy_splits(h: MultiGraph, k: int) -> tuple[list[set[int]], list[tuple[in
                 sub, labels = h.induced_subgraph(part)
                 heapq.heappush(heap, (_min_cut_value(sub), min(part), sub, labels, part))
         order, _, sub, labels, part = heapq.heappop(heap)
-        cut = global_min_2cut(sub)
-        assert cut.order == order
+        cut = _min_2cut_of_order(sub, order)
         side = {labels[v] for v in cut.side_a}
         new = [side, part - side]
         parts.remove(part)

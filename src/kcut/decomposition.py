@@ -15,7 +15,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cuts import ResidualNetwork, min_vertex_separator
+from .cuts import ResidualNetwork, _classes_above, min_vertex_separator
 from .graph import (
     EdgeCut,
     InvalidInputError,
@@ -160,50 +160,86 @@ class LeanWitness:
             seen |= set(path)
 
 
-def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -> EdgeCut | None:
+class WitnessSearchBase:
+    """What every witness search on one connected graph at one s shares.
+
+    ``bit[v]`` is ``1 << r`` for the least vertex r of v's class under
+    λ(u, v) > s: no cut of order <= s separates two vertices of one class,
+    every two classes are separated by one, and there is one class exactly
+    when no cut of order <= s exists at all.  The rest is the network the
+    decisions run on and a breadth-first spanning tree from vertex 0, with
+    the vertex set below each tree vertex.
+    """
+
+    def __init__(self, g: MultiGraph, s: int):
+        if not is_connected(g):
+            raise InvalidInputError("witness search expects a connected graph")
+        self.g, self.s = g, s
+        self.net = ResidualNetwork.of(g)
+        label = _classes_above(g, s, self.net)
+        self.bit = [1 << r for r in label]
+        self.one_class = len(set(label)) == 1
+        adj = [sorted(set(ns)) for ns in g.neighbors()]
+        parent = [-2] * g.n
+        parent[0] = -1
+        order = [0]
+        for u in order:
+            for v in adj[u]:
+                if parent[v] == -2:
+                    parent[v] = u
+                    order.append(v)
+        kids: list[list[int]] = [[] for _ in range(g.n)]
+        for v in range(g.n):
+            if parent[v] >= 0:
+                kids[parent[v]].append(v)
+        subtree: list[frozenset[int]] = [frozenset()] * g.n
+        for v in reversed(order):
+            subtree[v] = frozenset([v]).union(*(subtree[c] for c in kids[v]))
+        self.parent, self.kids, self.subtree = parent, kids, subtree
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """The classes that meet ``vertices``, as a bitmask."""
+        m = 0
+        for v in vertices:
+            m |= self.bit[v]
+        return m
+
+
+def find_breakability_witness(
+    g: MultiGraph, terminals: Iterable[int], s: int, *, base: WitnessSearchBase | None = None
+) -> EdgeCut | None:
     """Search for an edge cut of order <= s balanced with respect to terminals.
 
     Returns a cut with at least s+1 terminals on both sides when the search
     family hits one; returns None only when no cut of order <= s has
     (s+1)^5 or more terminals on both sides, so absence certifies
     ((s+1)^5, s)-edge-unbreakability of the terminal set.
+
+    Each disjoint pair of family members is decided in a fixed order by a
+    bounded flow, and the first small cut is returned.  ``base`` holds what
+    does not depend on the terminals; the builder makes it once per
+    component and passes it to every search, and a call without it makes
+    its own.  Its classes settle decisions without a flow: a pair whose
+    members meet one class has no cut of order <= s between them, so only
+    pairs with disjoint class masks reach the network, and a graph of one
+    class has no witness at all.  A settled decision would have returned
+    None, so the search returns the same cut either way.
     """
-    if not is_connected(g):
-        raise InvalidInputError("witness search expects a connected graph")
+    if base is None:
+        base = WitnessSearchBase(g, s)
+    elif base.g is not g or base.s != s:
+        raise InvalidInputError("the search base belongs to another graph or s")
     q = frozenset(terminals)
-    if len(q) < 2 * (s + 1):
+    if len(q) < 2 * (s + 1) or base.one_class:
         return None
-    net = ResidualNetwork.of(g)
-    if not net.has_cut_at_most(s):
-        return None  # no nontrivial cut of order <= s exists at all
 
-    root = 0
-    adj = [sorted(set(ns)) for ns in g.neighbors()]
-    parent = [-2] * g.n
-    parent[root] = -1
-    order = [root]
-    for u in order:
-        for v in adj[u]:
-            if parent[v] == -2:
-                parent[v] = u
-                order.append(v)
-    kids: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        if parent[v] >= 0:
-            kids[parent[v]].append(v)
-
-    subtree: list[set[int]] = [set() for _ in range(g.n)]
-    for v in reversed(order):
-        acc = {v}
-        for c in kids[v]:
-            acc |= subtree[c]
-        subtree[v] = acc
-    below = [len(subtree[v] & q) for v in range(g.n)]  # terminals per subtree
+    parent, kids, subtree = base.parent, base.kids, base.subtree
+    below = [len(sub & q) for sub in subtree]  # terminals per subtree
 
     family: set[frozenset[int]] = set()
     for v in range(g.n):
         if below[v] >= s + 1:
-            family.add(frozenset(subtree[v]))
+            family.add(subtree[v])
 
     # Ancestor-descendant paths, walking each vertex up to the root.  Each
     # step adds one vertex to the path, so the path's terminal count and its
@@ -217,7 +253,7 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
             family.add(frozenset(path))
         good = [w for w in kids[v] if below[w]]
         u = v
-        while u != root:
+        while u != 0:
             child, u = u, parent[u]
             path.append(u)
             hits += u in q
@@ -239,11 +275,13 @@ def find_breakability_witness(g: MultiGraph, terminals: Iterable[int], s: int) -
                 family.add(frozenset(h))
 
     members = sorted(family, key=lambda c: (len(c), sorted(c)))
+    masks = [base.mask(c) for c in members]
     for i, c1 in enumerate(members):
-        for c2 in members[i + 1 :]:
-            if c1 & c2:
-                continue
-            side = net.small_cut_side(c1, c2, s)
+        m1 = masks[i]
+        for j in range(i + 1, len(members)):
+            if m1 & masks[j]:
+                continue  # a shared class, or a shared vertex
+            side = base.net.small_cut_side(c1, members[j], s)
             if side is not None:
                 cut = EdgeCut.of(g, side)
                 assert cut.order <= s
@@ -516,6 +554,8 @@ def build_unbreakable_decomposition(g: MultiGraph, s: int) -> TreeDecomposition:
 
 def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
     td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
+    # Bags only shrink below V, so at most 2s+1 vertices leave none to search.
+    base = WitnessSearchBase(g, s) if g.n > 2 * s + 1 else None
     while True:
         big = sorted(
             (t for t in range(len(td)) if len(td.bags[t]) > 2 * s + 1),
@@ -523,7 +563,7 @@ def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
         )
         refined = False
         for t in big:
-            cut = find_breakability_witness(g, td.bags[t], s)
+            cut = find_breakability_witness(g, td.bags[t], s, base=base)
             if cut is None:
                 continue
             td = refine(td, witness_to_lean(td, t, cut, s, g), s, g)

@@ -6,6 +6,8 @@ import pytest
 from kcut.cuts import (
     OracleTooLargeError,
     ResidualNetwork,
+    _classes_above,
+    _contract,
     _min_cut_value,
     approx2_kcut,
     global_min_2cut,
@@ -15,7 +17,7 @@ from kcut.cuts import (
 )
 from kcut.graph import EdgeCut, InvalidInputError, MultiGraph, Partition, connected_components, cut_weight
 from kcut.sparsify import strip_cheap_2cuts
-from reference import reference_global_min_2cut
+from reference import matrix_max_flow, reference_global_min_2cut
 
 
 def path(n):
@@ -411,14 +413,36 @@ class TestResidualNetwork:
             else:
                 assert side is None
 
-    def test_has_cut_at_most_matches_global_min_2cut(self):
+
+class TestFixedBoundClasses:
+    def test_classes_are_more_than_s_connected(self):
+        # _contract at margin 1 keeps the bound s: each class is more than
+        # s-connected, and a connected graph is one class exactly when its
+        # minimum cut exceeds s.
         rng = random.Random(19)
         for _ in range(100):
             g = random_multigraph(rng, n_max=9, m_max=16, connected=rng.random() < 0.7)
-            net = ResidualNetwork.of(g)
-            order = global_min_2cut(g).order
+            parts = connected_components(g).parts
             for s in range(4):
-                assert net.has_cut_at_most(s) == (order <= s)
+                for part in parts:
+                    sub, labels = g.induced_subgraph(part)
+                    lam, root = _contract(sub, s, 1)
+                    assert lam == s
+                    for u, v in itertools.combinations(range(sub.n), 2):
+                        if root[u] == root[v]:
+                            assert matrix_max_flow(g, labels[u], labels[v])[0] > s, (g, s, u, v)
+                    if len(parts) == 1:
+                        assert (len(set(root)) == 1) == (global_min_2cut(g).order > s), (g, s)
+
+    def test_classes_above_are_exact(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_multigraph(rng, n_max=9, m_max=16, connected=True)
+            for s in range(4):
+                label = _classes_above(g, s, ResidualNetwork.of(g))
+                for u, v in itertools.combinations(range(g.n), 2):
+                    assert (label[u] == label[v]) == (matrix_max_flow(g, u, v)[0] > s), (g, s, u, v)
+                assert all(label[v] == min(u for u in range(g.n) if label[u] == label[v]) for v in range(g.n))
 
 
 class TestApprox2:

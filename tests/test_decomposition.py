@@ -6,6 +6,7 @@ from kcut import cuts, decomposition
 from kcut.decomposition import (
     LeanWitness,
     TreeDecomposition,
+    WitnessSearchBase,
     build_unbreakable_decomposition,
     cleanup,
     compactify,
@@ -18,7 +19,7 @@ from kcut.decomposition import (
     witness_to_lean,
 )
 from kcut.graph import InvalidInputError, MultiGraph
-from reference import is_bag_unbreakable
+from reference import is_bag_unbreakable, matrix_max_flow
 
 
 def path(n):
@@ -37,6 +38,19 @@ def tree_plus_chords(seed, n, chords):
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     return MultiGraph.multi(n, sorted(edges))
+
+
+def clique_ring(seed, cliques, size):
+    """Cliques joined in a ring by single edges, vertex labels shuffled."""
+    rng = random.Random(seed)
+    label = list(range(cliques * size))
+    rng.shuffle(label)
+    edges = []
+    for c in range(cliques):
+        block = range(c * size, (c + 1) * size)
+        edges += [(a, b) for a in block for b in block if a < b]
+        edges.append((c * size, (c + 1) % cliques * size + 1))
+    return MultiGraph.multi(cliques * size, [tuple(sorted((label[a], label[b]))) for a, b in edges])
 
 
 def random_connected(rng, n_max=10, extra=6):
@@ -355,3 +369,74 @@ class TestWitnessSearchWork:
         assert len(built) == len(refinements) > 0
         for before, after in refinements:
             assert after < before
+
+
+class TestWitnessSearchClasses:
+    CASES = [(tree_plus_chords(seed, 24, 5), s) for seed in (2, 3) for s in (1, 2)] + [
+        (clique_ring(seed, 6, 5), s) for seed in (1, 2) for s in (2, 3)
+    ]
+
+    def test_no_decision_between_more_than_s_connected_vertices(self, monkeypatch):
+        # Log the decisions of the searches' pair loops, not those that
+        # build the classes.
+        decided = []
+        searching = []
+        decide = cuts.ResidualNetwork.small_cut_side
+        search = decomposition.find_breakability_witness
+
+        def logged(self, sources, sinks, s):
+            if searching:
+                decided.append((sources, sinks))
+            return decide(self, sources, sinks, s)
+
+        def flagged(*args, **kwargs):
+            searching.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(cuts.ResidualNetwork, "small_cut_side", logged)
+        monkeypatch.setattr(decomposition, "find_breakability_witness", flagged)
+        for g, s in self.CASES:
+            lam = [[matrix_max_flow(g, u, v)[0] if u != v else 0 for v in range(g.n)] for u in range(g.n)]
+            decided.clear()
+            td = build_unbreakable_decomposition(g, s)
+            validate_decomposition(td, g)
+            assert decided
+            for sources, sinks in decided:
+                assert all(lam[u][v] <= s for u in sources for v in sinks), (g, s)
+
+    def test_base_gives_the_fresh_search_cut(self):
+        rng = random.Random(31)
+        hits = 0
+        for g, s in self.CASES:
+            base = WitnessSearchBase(g, s)
+            for _ in range(15):
+                q = rng.sample(range(g.n), rng.randint(2 * s + 2, g.n))
+                cut = find_breakability_witness(g, q, s)
+                assert find_breakability_witness(g, q, s, base=base) == cut
+                hits += cut is not None
+        assert hits
+
+    def test_base_of_another_graph_rejected(self):
+        base = WitnessSearchBase(path(8), 1)
+        with pytest.raises(InvalidInputError):
+            find_breakability_witness(path(8), range(8), 1, base=base)
+        with pytest.raises(InvalidInputError):
+            find_breakability_witness(base.g, range(8), 2, base=base)
+
+    def test_decision_count_bounded(self, monkeypatch):
+        decisions = []
+        decide = cuts.ResidualNetwork.small_cut_side
+
+        def counted(self, *args):
+            decisions.append(args)
+            return decide(self, *args)
+
+        monkeypatch.setattr(cuts.ResidualNetwork, "small_cut_side", counted)
+        build_unbreakable_decomposition(tree_plus_chords(1, 40, 10), 1)
+        # Measured: 15 decisions build the classes and 3 find the three
+        # witnesses.  Deciding every disjoint pair of family members took
+        # 14,982.
+        assert len(decisions) <= 18

@@ -99,15 +99,15 @@ class TestStrip:
     def test_each_component_graph_cut_once_per_call(self, monkeypatch):
         # Stripping replays no round of the greedy 2-approximation, and each
         # greedy round finds the side of the one part it splits, so a call
-        # runs global_min_2cut once per split: k - cc(g) times.
-        original = cuts.global_min_2cut
+        # runs the side search once per split: k - cc(g) times.
+        original = cuts._min_2cut_of_order
         seen = []
 
-        def counting(g):
+        def counting(g, order):
             seen.append(g)
-            return original(g)
+            return original(g, order)
 
-        monkeypatch.setattr(cuts, "global_min_2cut", counting)
+        monkeypatch.setattr(cuts, "_min_2cut_of_order", counting)
         rng = random.Random(13)
         for _ in range(40):
             g = random_connected(rng, n_max=10, extra=8)
