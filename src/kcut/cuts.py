@@ -34,6 +34,7 @@ from .graph import (
     Partition,
     connected_components,
     cut_weight,
+    uf_find,
 )
 
 ORACLE_ENUM_LIMIT = 14
@@ -268,13 +269,6 @@ def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
     one class exactly when no cut has order ≤ b.
     """
     root = list(range(g.n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
     for u, v, w in g.edges:
         adj[u][v] = adj[v][u] = w
@@ -292,23 +286,23 @@ def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
             cut += sum(adj[u].values()) - 2 * a_last
             if not margin and cut < lam and attach:
                 lam = cut
-            ru = find(u)
+            ru = uf_find(root, u)
             for v, w in adj[u].items():
                 if v in attach:
                     a = attach[v] = attach[v] + w
                     heapq.heappush(heap, (-a, v))
                     if a >= lam + margin:
-                        rv = find(v)
+                        rv = uf_find(root, v)
                         if rv != ru:
                             root[rv] = ru
                             united = True
         assert not attach, "contraction expects a connected graph"
-        if a_last >= lam + margin and find(prev) != find(last):
-            root[find(last)] = find(prev)
+        if a_last >= lam + margin and uf_find(root, prev) != uf_find(root, last):
+            root[uf_find(root, last)] = uf_find(root, prev)
             united = True
         if not united:
             break
-        rep = {u: find(u) for u in adj}
+        rep = {u: uf_find(root, u) for u in adj}
         merged: dict[int, dict[int, int]] = {}
         for u, nbrs in adj.items():
             ru = rep[u]
@@ -318,7 +312,7 @@ def _contract(g: MultiGraph, lam: int, margin: int) -> tuple[int, list[int]]:
                 if rv != ru:
                     out[rv] = out.get(rv, 0) + w
         adj = merged
-    return lam, [find(v) for v in range(g.n)]
+    return lam, [uf_find(root, v) for v in range(g.n)]
 
 
 def _classes_above(g: MultiGraph, s: int, net: ResidualNetwork) -> list[int]:

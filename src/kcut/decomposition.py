@@ -17,16 +17,23 @@ from typing import Iterable, Sequence
 
 from .cuts import ResidualNetwork, _classes_above, min_vertex_separator
 from .graph import (
+    MULTI,
     EdgeCut,
     InvalidInputError,
     MultiGraph,
+    bfs,
+    connected_components,
     is_connected,
 )
 
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed 0..N-1; ``parent[i]`` is the parent node id, -1 at the root."""
+    """Bags indexed 0..N-1; ``parent[i]`` is the parent node id, -1 at the root.
+
+    ``children_map`` lists every node's children; walks over the tree take
+    it once and go through ``graph.bfs``, whose order puts every parent
+    before its children."""
 
     bags: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
@@ -44,9 +51,6 @@ class TreeDecomposition:
     def __len__(self) -> int:
         return len(self.bags)
 
-    def children(self, t: int) -> list[int]:
-        return [c for c, p in enumerate(self.parent) if p == t]
-
     def children_map(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in self.bags]
         for c, p in enumerate(self.parent):
@@ -58,29 +62,8 @@ class TreeDecomposition:
         p = self.parent[t]
         return frozenset() if p == -1 else self.bags[t] & self.bags[p]
 
-    def post_order(self) -> list[int]:
-        kids = self.children_map()
-        order: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in reversed(kids[node]):
-                    stack.append((c, False))
-        return order
-
     def gamma(self, t: int) -> frozenset[int]:
-        kids = self.children_map()
-        acc = set(self.bags[t])
-        stack = list(kids[t])
-        while stack:
-            c = stack.pop()
-            acc |= self.bags[c]
-            stack.extend(kids[c])
-        return frozenset(acc)
+        return frozenset().union(*(self.bags[u] for u in bfs(self.children_map(), t)[0]))
 
     def alpha(self, t: int) -> frozenset[int]:
         return self.gamma(t) - self.adhesion(t)
@@ -161,7 +144,9 @@ class LeanWitness:
 
 
 class WitnessSearchBase:
-    """What every witness search on one connected graph at one s shares.
+    """What every witness search on one connected graph at one s shares,
+    and the only way into the search: build one per graph and s, then pass
+    it to ``find_breakability_witness`` with each terminal set.
 
     ``bit[v]`` is ``1 << r`` for the least vertex r of v's class under
     λ(u, v) > s: no cut of order <= s separates two vertices of one class,
@@ -179,15 +164,7 @@ class WitnessSearchBase:
         label = _classes_above(g, s, self.net)
         self.bit = [1 << r for r in label]
         self.one_class = len(set(label)) == 1
-        adj = [sorted(set(ns)) for ns in g.neighbors()]
-        parent = [-2] * g.n
-        parent[0] = -1
-        order = [0]
-        for u in order:
-            for v in adj[u]:
-                if parent[v] == -2:
-                    parent[v] = u
-                    order.append(v)
+        order, parent = bfs([sorted(set(ns)) for ns in g.neighbors()], 0)
         kids: list[list[int]] = [[] for _ in range(g.n)]
         for v in range(g.n):
             if parent[v] >= 0:
@@ -205,9 +182,7 @@ class WitnessSearchBase:
         return m
 
 
-def find_breakability_witness(
-    g: MultiGraph, terminals: Iterable[int], s: int, *, base: WitnessSearchBase | None = None
-) -> EdgeCut | None:
+def find_breakability_witness(base: WitnessSearchBase, terminals: Iterable[int]) -> EdgeCut | None:
     """Search for an edge cut of order <= s balanced with respect to terminals.
 
     Returns a cut with at least s+1 terminals on both sides when the search
@@ -215,20 +190,17 @@ def find_breakability_witness(
     (s+1)^5 or more terminals on both sides, so absence certifies
     ((s+1)^5, s)-edge-unbreakability of the terminal set.
 
-    Each disjoint pair of family members is decided in a fixed order by a
-    bounded flow, and the first small cut is returned.  ``base`` holds what
-    does not depend on the terminals; the builder makes it once per
-    component and passes it to every search, and a call without it makes
-    its own.  Its classes settle decisions without a flow: a pair whose
-    members meet one class has no cut of order <= s between them, so only
-    pairs with disjoint class masks reach the network, and a graph of one
-    class has no witness at all.  A settled decision would have returned
-    None, so the search returns the same cut either way.
+    The graph and s are those of ``base``, which holds everything that
+    does not depend on the terminals; the builder makes one per component
+    and passes it to every search.  Each disjoint pair of family members is
+    decided in a fixed order by a bounded flow, and the first small cut is
+    returned.  The base's classes settle decisions without a flow: a pair
+    whose members meet one class has no cut of order <= s between them, so
+    only pairs with disjoint class masks reach the network, and a graph of
+    one class has no witness at all.  A settled decision would have
+    returned None, so the search returns the same cut either way.
     """
-    if base is None:
-        base = WitnessSearchBase(g, s)
-    elif base.g is not g or base.s != s:
-        raise InvalidInputError("the search base belongs to another graph or s")
+    g, s = base.g, base.s
     q = frozenset(terminals)
     if len(q) < 2 * (s + 1) or base.one_class:
         return None
@@ -338,24 +310,14 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
 
     # Route each separator vertex missing from the witness bag toward its
     # nearest holder, inserting it into bags along the way (endpoint excluded).
+    tree_edges = [(c, p) for c, p in enumerate(td.parent) if p != -1]
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for c in range(n_nodes):
-        p = td.parent[c]
-        if p != -1:
-            adj[c].append(p)
-            adj[p].append(c)
+    for c, p in tree_edges:
+        adj[c].append(p)
+        adj[p].append(c)
+    order, prev = bfs(adj, q)
     for x in sorted(w.separator - td.bags[q]):
-        prev = {q: -1}
-        queue = [q]
-        goal = -1
-        for u in queue:
-            if x in td.bags[u]:
-                goal = u
-                break
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    queue.append(v)
+        goal = next((u for u in order if x in td.bags[u]), -1)
         assert goal != -1, "separator vertex appears in no bag"
         node = prev[goal]
         while node != -1:
@@ -363,13 +325,7 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
             new_bags[n_nodes + node].add(x)
             node = prev[node]
 
-    edges = []
-    for c in range(n_nodes):
-        p = td.parent[c]
-        if p != -1:
-            edges.append((c, p))
-            edges.append((n_nodes + c, n_nodes + p))
-    edges.append((q, n_nodes + q))
+    edges = tree_edges + [(n_nodes + c, n_nodes + p) for c, p in tree_edges] + [(q, n_nodes + q)]
     refined = _from_edges([frozenset(b) for b in new_bags], edges, root=q)
     refined = cleanup(refined)
     if potential(refined, s) >= potential(td, s):
@@ -380,18 +336,11 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
 
 
 def _from_edges(bags: Sequence[frozenset[int]], edges: Iterable[tuple[int, int]], root: int) -> TreeDecomposition:
-    adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
+    adj: list[list[int]] = [[] for _ in bags]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    parent = [-2] * len(bags)
-    parent[root] = -1
-    order = [root]
-    for u in order:
-        for v in sorted(adj[u]):
-            if parent[v] == -2:
-                parent[v] = u
-                order.append(v)
+    parent = bfs([sorted(nbrs) for nbrs in adj], root)[1]
     assert all(p != -2 for p in parent), "decomposition tree is disconnected"
     return TreeDecomposition(tuple(bags), tuple(parent))
 
@@ -463,10 +412,7 @@ def compactify(td: TreeDecomposition, g: MultiGraph) -> TreeDecomposition:
 
 
 def _first_compactness_violation(td: TreeDecomposition, adj) -> int | None:
-    order = [td.root]
-    kids = td.children_map()
-    for u in order:
-        order.extend(kids[u])
+    order = bfs(td.children_map(), td.root)[0]
     return next((t for t in order if td.parent[t] != -1 and not _compact_at(td, t, adj)), None)
 
 
@@ -492,10 +438,7 @@ def _split_subtree(td: TreeDecomposition, c: int, adj) -> TreeDecomposition:
     """Replace subtree(c) with one restricted copy per component of alpha(c)."""
     p = td.parent[c]
     assert p != -1
-    sub_nodes = [c]
-    kids = td.children_map()
-    for u in sub_nodes:
-        sub_nodes.extend(kids[u])
+    sub_nodes = bfs(td.children_map(), c)[0]
     alpha = td.alpha(c)
 
     keep_nodes = [t for t in range(len(td)) if t not in set(sub_nodes)]
@@ -520,36 +463,26 @@ def build_unbreakable_decomposition(g: MultiGraph, s: int) -> TreeDecomposition:
     """Compute a rooted compact decomposition with adhesions of size at most
     s whose every bag is ((s+1)^5, s)-edge-unbreakable.
 
-    Disconnected graphs are decomposed per component and the component roots
-    glued under the first root."""
+    Expects an unweighted multigraph.  Disconnected graphs are decomposed
+    per component and the component roots glued under the first root."""
     if s < 0:
         raise InvalidInputError("unbreakability parameter must be nonnegative")
     if g.n == 0:
         raise InvalidInputError("cannot decompose the empty graph")
-    comp_tds: list[tuple[TreeDecomposition, list[int]]] = []
-    from .graph import connected_components
-
+    if g.mode != MULTI:
+        raise InvalidInputError("the unbreakable decomposition expects an unweighted multigraph")
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+    roots: list[int] = []
     for part in connected_components(g).parts:
         sub, labels = g.induced_subgraph(part)
         td = _build_connected(sub, s)
-        comp_tds.append((td, labels))
-
-    bags: list[frozenset[int]] = []
-    parent: list[int] = []
-    first_root = None
-    for td, labels in comp_tds:
         base = len(bags)
-        for t in range(len(td)):
-            bags.append(frozenset(labels[v] for v in td.bags[t]))
-            if td.parent[t] == -1:
-                if first_root is None:
-                    parent.append(-1)
-                    first_root = base + t
-                else:
-                    parent.append(first_root)
-            else:
-                parent.append(base + td.parent[t])
-    return TreeDecomposition(tuple(bags), tuple(parent))
+        bags.extend(frozenset(labels[v] for v in bag) for bag in td.bags)
+        edges.extend((base + c, base + p) for c, p in enumerate(td.parent) if p != -1)
+        roots.append(base + td.root)
+    edges.extend((r, roots[0]) for r in roots[1:])
+    return _from_edges(bags, edges, root=roots[0])
 
 
 def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
@@ -563,7 +496,7 @@ def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
         )
         refined = False
         for t in big:
-            cut = find_breakability_witness(g, td.bags[t], s, base=base)
+            cut = find_breakability_witness(base, td.bags[t])
             if cut is None:
                 continue
             td = refine(td, witness_to_lean(td, t, cut, s, g), s, g)

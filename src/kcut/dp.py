@@ -44,6 +44,7 @@ from .graph import (
     InvalidInputError,
     MultiGraph,
     Partition,
+    bfs,
     cut_weight,
     is_connected,
 )
@@ -138,26 +139,20 @@ def _merged(pieces: Sequence[int], labels: Sequence[int], nparts: int) -> list[i
 
 
 def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order from vertex 0 and parent links of a spanning tree
-    on vertices 0..n-1."""
+    """Breadth-first order from vertex 0 and parent links (-1 at the root)
+    of a spanning tree on vertices 0..n-1."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in tree:
         adj[u].append(v)
         adj[v].append(u)
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    return order, parent
+    return bfs(adj, 0)
 
 
 def _projection(order: Sequence[int], parent: Sequence[int], xmask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Vertex mask and sorted (u, v) edges of a tree's projection onto a
-    nonempty hub mask, from a tree rooted once by ``_rooting``, in linear
-    time.  The projection deletes non-hub leaves and smooths non-hub
+    nonempty hub mask, in linear time, from the breadth-first order and
+    parent links that ``_rooting`` gives once per tree and every bag
+    shares.  The projection deletes non-hub leaves and smooths non-hub
     degree-2 vertices until none is left, so at most twice as many vertices
     as hubs remain.  That leaves the minimal subtree spanning the hubs with
     its non-hub degree-2 vertices dissolved: the hubs plus every vertex
@@ -334,9 +329,11 @@ class _Engine:
         self.states = 0
         self._dirty: set[int] = set()
         self._wmemo: dict[MaskPartition, int] = {}
+        kids = td.children_map()
+        self._order = bfs(kids, td.root)[0]
         for t in range(len(td)):
             bag = td.bags[t]
-            children = td.children(t)
+            children = kids[t]
             adh_mask = _mask(td.adhesion(t))
             self.ctxs[t] = _NodeCtx(
                 bag_mask=_mask(bag),
@@ -472,9 +469,13 @@ class _Engine:
 
     def evaluate(self) -> None:
         """Recompute, bottom-up, the table of every node whose candidates
-        improved since the last call or whose children's values changed."""
+        improved since the last call or whose children's values changed.
+        Nodes go in reversed breadth-first order from the root, which puts
+        every child before its parent; a node's table depends only on its
+        own candidates and its children's tables, so any such order solves
+        the same nodes to the same tables."""
         changed: set[int] = set()
-        for t in self.td.post_order():
+        for t in reversed(self._order):
             if t in self._dirty or any(c in changed for c in self.ctxs[t].children):
                 old = self.tables.get(t)
                 self._solve_node(t)

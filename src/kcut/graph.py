@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Num = int | Fraction
 
@@ -239,6 +239,21 @@ def uf_union(parent: list[int], a: int, b: int) -> bool:
     else:
         parent[ra] = rb
     return True
+
+
+def bfs(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root`` over the adjacency lists ``adj``,
+    each scanned in its own order, and every vertex's parent: -1 at the
+    root, -2 where a vertex is unreached."""
+    parent = [-2] * len(adj)
+    parent[root] = -1
+    order = [root]
+    for u in order:
+        for v in adj[u]:
+            if parent[v] == -2:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 def connected_components(g: MultiGraph) -> Partition:

@@ -11,6 +11,11 @@ they share come from ``kcut.dp``.
 ``reference_approx2_kcut`` and ``reference_strip`` run the greedy
 2-approximation and the stripping stage as one round loop each, every round
 cutting every part again with that reference cut.
+
+``class_quotient_kcut`` checks the exact solver past the enumeration
+oracle's 14 vertices with no code the DP uses: it contracts the classes of
+λ(u, v) > s (``classes_above``, by matrix max-flows) and enumerates the
+quotient.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from kcut.cuts import merge_to_k_parts, to_integer_multigraph
+from kcut.cuts import merge_to_k_parts, oracle_exact_kcut, to_integer_multigraph
 from kcut.dp import (
     MaskPartition,
     _cut_components,
@@ -232,6 +237,41 @@ def matrix_max_flow(g, s, t):
             cap[a][b] -= pushed
             cap[b][a] += pushed
         value += pushed
+
+
+def classes_above(g: MultiGraph, s: int) -> list[int]:
+    """For every vertex, the least vertex of its class under λ(u, v) > s.
+    That relation is an equivalence (λ(u, w) >= min(λ(u, v), λ(v, w))), so
+    each vertex is compared against one representative per class."""
+    reps: list[int] = []
+    label = []
+    for v in range(g.n):
+        r = next((r for r in reps if matrix_max_flow(g, r, v)[0] > s), None)
+        if r is None:
+            reps.append(v)
+            r = v
+        label.append(r)
+    return label
+
+
+def class_quotient_kcut(g: MultiGraph, k: int, s: int) -> Num | None:
+    """The minimum k-cut weight of a multigraph when it is at most s, else
+    None, by enumerating the quotient over ``classes_above(g, s)``.
+
+    A k-cut of weight <= s splits no class, since it would leave a cut of
+    order <= s between two vertices of one; so it is a k-cut of the quotient
+    with the same weight, and every k-cut of the quotient lifts to one of g.
+    Raises ``OracleTooLargeError`` past 14 classes."""
+    label = classes_above(g, s)
+    index = {r: i for i, r in enumerate(sorted(set(label)))}
+    if len(index) < k:
+        return None
+    quotient = MultiGraph.multi(
+        len(index),
+        [(index[label[u]], index[label[v]], w) for u, v, w in g.edges if label[u] != label[v]],
+    )
+    value = oracle_exact_kcut(quotient, k)[1]
+    return value if value <= s else None
 
 
 def reference_global_min_2cut(g):

@@ -122,6 +122,12 @@ class TestRunModes:
         assert report["max_adhesion"] <= 1
         assert out_file.read_text().splitlines() == report["decomposition"]
 
+    def test_decompose_weighted_exit2(self, tmp_path, capsys):
+        path = write(tmp_path, "w.g", "p 3 2 weighted\n0 1 1\n1 2 1\n")
+        code, out, err = run_cli(["run", "--input", path, "--k", "2", "--mode", "decompose", "--s", "1"], capsys)
+        assert code == 2 and not out
+        assert "decomposition" in err
+
     def test_sparsify(self, tmp_path, capsys):
         path = write(tmp_path, "b.g", BRIDGED)
         code, out, _ = run_cli(

@@ -83,30 +83,30 @@ class TestPotential:
 class TestWitnessSearch:
     def test_few_terminals_absent(self):
         g = path(6)
-        assert find_breakability_witness(g, [0, 1, 2], 1) is None
+        assert find_breakability_witness(WitnessSearchBase(g, 1), [0, 1, 2]) is None
 
     def test_long_path_returns_balanced_cut(self):
         g = path(8)
-        cut = find_breakability_witness(g, range(8), 1)
+        cut = find_breakability_witness(WitnessSearchBase(g, 1), range(8))
         assert cut is not None
         assert cut.order <= 1
         assert len(cut.side_a) >= 2 and len(cut.side_b) >= 2
 
     def test_clique_absent(self):
         g = clique(6)
-        assert find_breakability_witness(g, range(6), 2) is None
+        assert find_breakability_witness(WitnessSearchBase(g, 2), range(6)) is None
 
     def test_disconnected_rejected(self):
         g = MultiGraph.multi(4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidInputError):
-            find_breakability_witness(g, range(4), 1)
+            find_breakability_witness(WitnessSearchBase(g, 1), range(4))
 
     def test_returned_cut_is_balanced_random(self):
         rng = random.Random(8)
         for _ in range(25):
             g = random_connected(rng, n_max=9)
             s = rng.choice([1, 2])
-            cut = find_breakability_witness(g, range(g.n), s)
+            cut = find_breakability_witness(WitnessSearchBase(g, s), range(g.n))
             if cut is not None:
                 assert cut.order <= s
                 assert len(cut.side_a) >= s + 1 and len(cut.side_b) >= s + 1
@@ -119,7 +119,7 @@ class TestWitnessToLean:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
         td = TreeDecomposition((frozenset(range(6)),), (-1,))
-        cut = find_breakability_witness(g, range(6), s)
+        cut = find_breakability_witness(WitnessSearchBase(g, s), range(6))
         assert cut is not None
         lean = witness_to_lean(td, 0, cut, s, g)
         assert len(lean.separator) <= s
@@ -143,7 +143,7 @@ class TestRefine:
         g = path(8)
         s = 1
         td = TreeDecomposition((frozenset(range(8)),), (-1,))
-        cut = find_breakability_witness(g, range(8), s)
+        cut = find_breakability_witness(WitnessSearchBase(g, s), range(8))
         lean = witness_to_lean(td, 0, cut, s, g)
         before = potential(td, s)
         td2 = refine(td, lean, s, g)
@@ -160,7 +160,7 @@ class TestRefine:
             td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
             if len(td.bags[0]) <= 2 * s + 1:
                 continue
-            cut = find_breakability_witness(g, td.bags[0], s)
+            cut = find_breakability_witness(WitnessSearchBase(g, s), td.bags[0])
             if cut is None:
                 continue
             lean = witness_to_lean(td, 0, cut, s, g)
@@ -235,6 +235,26 @@ class TestBuild:
         g = MultiGraph.multi(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         td = build_unbreakable_decomposition(g, 1)
         validate_decomposition(td, g)
+
+    def test_glued_layout_pinned(self):
+        # A triangle, an 8-vertex path that splits into six nodes and a
+        # 3-vertex path, with labels interleaved; every later component's
+        # root hangs from the first one's.
+        g = MultiGraph.multi(14, [
+            (0, 3), (3, 6), (0, 6),
+            (1, 4), (4, 7), (7, 9), (9, 10), (10, 11), (11, 12), (12, 13),
+            (2, 5), (5, 8),
+        ])
+        td = build_unbreakable_decomposition(g, 1)
+        assert dump_decomposition(td) == (
+            "0 -1 0 3 6\n1 0 1 4\n2 1 4 7\n3 2 7 9\n4 3 9 10\n5 4 10 11\n6 5 11 12 13\n7 0 2 5 8\n"
+        )
+
+    @pytest.mark.parametrize("n, s", [(3, 1), (5, 1), (5, 2)])
+    def test_weighted_rejected(self, n, s):
+        g = MultiGraph.weighted(n, [(i, i + 1, 1) for i in range(n - 1)])
+        with pytest.raises(InvalidInputError, match="decomposition"):
+            build_unbreakable_decomposition(g, s)
 
     def test_s_zero_single_bag(self):
         g = path(5)
@@ -414,17 +434,10 @@ class TestWitnessSearchClasses:
             base = WitnessSearchBase(g, s)
             for _ in range(15):
                 q = rng.sample(range(g.n), rng.randint(2 * s + 2, g.n))
-                cut = find_breakability_witness(g, q, s)
-                assert find_breakability_witness(g, q, s, base=base) == cut
+                cut = find_breakability_witness(WitnessSearchBase(g, s), q)
+                assert find_breakability_witness(base, q) == cut
                 hits += cut is not None
         assert hits
-
-    def test_base_of_another_graph_rejected(self):
-        base = WitnessSearchBase(path(8), 1)
-        with pytest.raises(InvalidInputError):
-            find_breakability_witness(path(8), range(8), 1, base=base)
-        with pytest.raises(InvalidInputError):
-            find_breakability_witness(base.g, range(8), 2, base=base)
 
     def test_decision_count_bounded(self, monkeypatch):
         decisions = []

@@ -23,7 +23,17 @@ from kcut.graph import InvalidInputError, MultiGraph, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
-from reference import ProjEdge, ProjectedTree, _edge_pairs, _groupings, feasible_family, project_tree
+from reference import (
+    ProjEdge,
+    ProjectedTree,
+    _edge_pairs,
+    _groupings,
+    class_quotient_kcut,
+    classes_above,
+    feasible_family,
+    matrix_max_flow,
+    project_tree,
+)
 
 
 def path_graph(n):
@@ -78,7 +88,7 @@ def compute_state(g, td, tree, t, key, child_tables, s, k):
     tables; None plays the role of infinity (no realizing partition of
     weight at most s, or an adhesion projection no candidate carries)."""
     engine = _prepared_engine(g, td, k, s, child_tables)
-    assert all(c in engine.tables for c in td.children(t)), "child table missing"
+    assert all(c in engine.tables for c in td.children_map()[t]), "child table missing"
     engine.add_tree(tree)
     return _state_value(engine, t, key)
 
@@ -573,7 +583,7 @@ class TestUnionEngine:
                 engine.add_tree(fam.tree_edges(ti))
             for t in range(len(td)):
                 adh = _mask(td.adhesion(t))
-                cmasks = [_mask(td.adhesion(c)) for c in td.children(t)]
+                cmasks = [_mask(td.adhesion(c)) for c in td.children_map()[t]]
                 with_children += bool(cmasks)
                 bag = _mask(td.bags[t])
                 inside = [(u, v, w) for u, v, w in g.edges if bag >> u & 1 and bag >> v & 1]
@@ -650,6 +660,68 @@ class TestPastOracle:
         if k == 2:
             lam = global_min_2cut(g).order
             assert opt == (lam if lam <= cap else None)
+
+
+def planted_multigraph(seed, n, cross, k=3):
+    """k clusters of every k-th vertex, each a path plus two random inner
+    edges per vertex, joined by ``cross`` crossing edges, the first k-1 of
+    which chain the clusters: connected, with a k-cut of weight ``cross``."""
+    rng = random.Random(seed)
+    clusters = [list(range(c, n, k)) for c in range(k)]
+    mult: dict[tuple[int, int], int] = {}
+
+    def add(u, v):
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + 1
+
+    for cluster in clusters:
+        for a, b in zip(cluster, cluster[1:]):
+            add(a, b)
+        for _ in range(2 * len(cluster)):
+            add(*rng.sample(cluster, 2))
+    for c in range(cross):
+        ca, cb = (c, c + 1) if c < k - 1 else rng.sample(range(k), 2)
+        add(rng.choice(clusters[ca]), rng.choice(clusters[cb]))
+    return MultiGraph.multi(n, [(u, v, w) for (u, v), w in sorted(mult.items())])
+
+
+class TestClassQuotientReference:
+    """``class_quotient_kcut`` shares no code with the DP: it enumerates the
+    quotient by the classes of λ(u, v) > s, so it checks "no" answers and
+    values past the enumeration oracle's 14 vertices.  These tests take
+    about 2.5 s on one core."""
+
+    def test_classes_match_pairwise_flows(self):
+        for seed in range(30):
+            g = connected_multigraph(seed)
+            for s in range(4):
+                label = classes_above(g, s)
+                for u, v in itertools.combinations(range(g.n), 2):
+                    assert (label[u] == label[v]) == (matrix_max_flow(g, u, v)[0] > s), (seed, s, u, v)
+                assert all(label[v] == min(u for u in range(g.n) if label[u] == label[v]) for v in range(g.n))
+
+    def test_matches_oracle_on_small_graphs(self):
+        for seed in range(30):
+            g = connected_multigraph(seed)
+            for k in (2, 3):
+                opt = oracle_exact_kcut(g, k)[1]
+                for s in range(4):
+                    assert class_quotient_kcut(g, k, s) == (opt if opt <= s else None), (seed, k, s)
+
+    CASES = [("ring", seed, None, 3) for seed in (1, 3, 7, 8, 10, 11)] + [
+        ("planted", seed, n, cap) for seed, n, cap in ((1, 20, 2), (2, 25, 2), (3, 25, 2), (2, 25, 3), (3, 25, 3))
+    ]
+
+    @pytest.mark.parametrize("kind,seed,n,cap", CASES)
+    def test_past_oracle(self, kind, seed, n, cap):
+        g = clique_ring_graph(seed) if kind == "ring" else planted_multigraph(seed, n, cap)
+        assert 15 <= g.n <= 30
+        opt = class_quotient_kcut(g, 3, cap)
+        assert exact_values(g, 3, cap)[3][0] == opt
+        if opt is not None:
+            for s in (opt - 1, opt):
+                assert class_quotient_kcut(g, 3, s) == (opt if s == opt else None)
+                assert solve_exact(g, 3, s).feasible == (s == opt)
 
 
 class TestOversizedBranch:

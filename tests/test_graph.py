@@ -8,6 +8,7 @@ from kcut.graph import (
     InvalidInputError,
     MultiGraph,
     Partition,
+    bfs,
     connected_components,
     cut_weight,
     read_graph,
@@ -123,6 +124,16 @@ class TestConnectedComponents:
         g = MultiGraph.multi(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         p = connected_components(g)
         assert sorted(len(q) for q in p.parts) == [3, 3]
+
+
+class TestBfs:
+    def test_order_and_parents(self):
+        # Neighbours are scanned in list order, a vertex keeps the parent
+        # that reached it first, and vertex 4 is unreached from root 2.
+        adj = [[2, 3], [2], [5, 0, 1], [0, 6], [], [2, 6], [5, 3]]
+        order, parent = bfs(adj, 2)
+        assert order == [2, 5, 0, 1, 6, 3]
+        assert parent == [2, 2, -1, 0, -2, 2, 5]
 
 
 class TestRounding:
