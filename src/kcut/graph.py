@@ -41,6 +41,11 @@ class MultiGraph:
     ``weighted`` mode ``w`` is a nonnegative rational and parallel records
     stay separate (rounding treats each on its own).  Self-loops are
     forbidden.
+
+    Construction validates every record.  A record given as a tuple with
+    ``u < v`` and an ``int`` or ``Fraction`` weight is kept as the same
+    object; lists, ``u > v`` and ``str`` weights (parsed as ``Fraction``)
+    give a new canonical tuple.  Every derived graph is built through here.
     """
 
     n: int
@@ -48,30 +53,43 @@ class MultiGraph:
     mode: str = MULTI
 
     def __post_init__(self):
-        if self.n < 0:
+        n, multi = self.n, self.mode == MULTI
+        if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
-        if self.mode not in (WEIGHTED, MULTI):
+        if not multi and self.mode != WEIGHTED:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         canon = []
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for rec in self.edges:
+            u, v, w = rec
+            if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edge ({u},{v}) endpoints out of range")
             if u == v:
                 raise InvalidInputError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            w = _as_num(w)
-            if self.mode == MULTI:
+            if type(w) not in (int, Fraction):
+                w = _as_num(w)
+                if multi and isinstance(w, int):
+                    w = int(w)  # a bool multiplicity becomes a plain int
+                rec = None
+            if multi:
                 if not isinstance(w, int) or w < 1:
                     raise InvalidInputError(f"multiplicity {w!r} must be a positive integer")
-            elif w < 0:
+            elif w.numerator < 0:
                 raise InvalidInputError(f"weight {w!r} must be nonnegative")
-            canon.append((u, v, w))
-        if self.mode == MULTI:
-            merged: dict[tuple[int, int], int] = {}
-            for u, v, w in canon:
-                merged[(u, v)] = merged.get((u, v), 0) + w
-            canon = [(u, v, w) for (u, v), w in sorted(merged.items())]
+            if rec is None or u > v or type(rec) is not tuple:
+                rec = (u, v, w) if u < v else (v, u, w)
+            canon.append(rec)
+        if multi:
+            canon.sort()
+            merged: list[tuple[int, int, Num]] = []
+            pu = pv = -1
+            for rec in canon:
+                u, v, w = rec
+                if u == pu and v == pv:
+                    merged[-1] = (u, v, merged[-1][2] + w)
+                else:
+                    merged.append(rec)
+                    pu, pv = u, v
+            canon = merged
         object.__setattr__(self, "edges", tuple(canon))
 
     # -- constructors ------------------------------------------------------
@@ -358,50 +376,70 @@ def write_graph(g: MultiGraph) -> str:
 
 
 def read_graph(text: str) -> MultiGraph:
-    """Parse the edge-list format (header ``p n m mode``, lines ``u v w``).
+    """Parse the edge-list format: a header ``p n m mode``, then one record
+    ``u v w`` per line; ``#`` starts a comment and blank lines are skipped.
 
-    Raises :class:`InvalidInputError` naming the offending line number.
+    In ``multi`` mode ``w`` is an integer multiplicity of at least 1; in
+    ``weighted`` mode it is an integer, ``p/q`` or decimal token, read as an
+    exact nonnegative :class:`~fractions.Fraction`.  Weighted parallel
+    records stay separate and multi records of one pair merge, as in
+    :class:`MultiGraph`.  In weighted mode each distinct line is parsed and
+    checked once per call, and its repeats share that line's ``(u, v, w)``
+    tuple.  Raises :class:`InvalidInputError` naming the first offending
+    line and quoting the offending token as written.
     """
-    header = None
-    edges: list[tuple[int, int, Num]] = []
-    declared_m = 0
+    n = None
+    header_line = declared_m = 0
     mode = MULTI
+    edges: list[tuple[int, int, Num]] = []
+    # Raw line -> its record, filled in weighted mode only: a weighted input
+    # repeats a line for every parallel record, while multi records merge,
+    # so a multi file (as write_graph prints it) repeats no line.
+    records: dict[str, tuple[int, int, Num]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if fields[0] != "p" or len(fields) != 4:
-                raise InvalidInputError(f"line {lineno}: expected header 'p <n> <m> <weighted|multi>'")
+        rec = records.get(raw)
+        if rec is None:
+            fields = raw.partition("#")[0].split()
+            if not fields:
+                continue
+            if n is None:
+                if fields[0] != "p" or len(fields) != 4:
+                    raise InvalidInputError(f"line {lineno}: expected header 'p <n> <m> <weighted|multi>'")
+                try:
+                    n = int(fields[1])
+                    declared_m = int(fields[2])
+                except ValueError:
+                    raise InvalidInputError(f"line {lineno}: malformed header numbers") from None
+                if n < 0:
+                    raise InvalidInputError(f"line {lineno}: vertex count {fields[1]!r} must be nonnegative")
+                mode = fields[3]
+                if mode not in (WEIGHTED, MULTI):
+                    raise InvalidInputError(f"line {lineno}: unknown mode {mode!r}")
+                header_line = lineno
+                continue
+            if len(fields) != 3:
+                raise InvalidInputError(f"line {lineno}: expected 'u v w'")
             try:
-                n = int(fields[1])
-                declared_m = int(fields[2])
-            except ValueError:
-                raise InvalidInputError(f"line {lineno}: malformed header numbers") from None
-            mode = fields[3]
-            if mode not in (WEIGHTED, MULTI):
-                raise InvalidInputError(f"line {lineno}: unknown mode {mode!r}")
-            header = (n, declared_m, mode)
-            continue
-        if len(fields) != 3:
-            raise InvalidInputError(f"line {lineno}: expected 'u v w'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-            w: Num
+                u, v = int(fields[0]), int(fields[1])
+                w: Num = int(fields[2]) if mode == MULTI else Fraction(fields[2])
+            except (ValueError, ZeroDivisionError):
+                raise InvalidInputError(f"line {lineno}: malformed edge") from None
+            if not (0 <= u < n and 0 <= v < n):
+                bad = fields[1] if 0 <= u < n else fields[0]
+                raise InvalidInputError(f"line {lineno}: endpoint {bad!r} out of range for {n} vertices")
+            if u == v:
+                raise InvalidInputError(f"line {lineno}: self-loop at vertex {fields[0]!r}")
             if mode == MULTI:
-                w = int(fields[2])
-            else:
-                w = Fraction(fields[2])
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInputError(f"line {lineno}: malformed edge") from None
-        edges.append((u, v, w))
-    if header is None:
+                if w < 1:
+                    raise InvalidInputError(f"line {lineno}: multiplicity {fields[2]!r} must be a positive integer")
+            elif w.numerator < 0:
+                raise InvalidInputError(f"line {lineno}: weight {fields[2]!r} must be nonnegative")
+            rec = (u, v, w)
+            if mode == WEIGHTED:
+                records[raw] = rec
+        edges.append(rec)
+    if n is None:
         raise InvalidInputError("line 1: missing header")
-    n, declared_m, mode = header
     if len(edges) != declared_m:
-        raise InvalidInputError(f"header declares {declared_m} edges, found {len(edges)}")
-    try:
-        return MultiGraph(n, tuple(edges), mode)
-    except InvalidInputError as exc:
-        raise InvalidInputError(str(exc)) from None
+        raise InvalidInputError(f"line {header_line}: header declares {declared_m} edges, found {len(edges)}")
+    return MultiGraph(n, tuple(edges), mode)

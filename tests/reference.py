@@ -16,6 +16,11 @@ cutting every part again with that reference cut.
 oracle's 14 vertices with no code the DP uses: it contracts the classes of
 λ(u, v) > s (``classes_above``, by matrix max-flows) and enumerates the
 quotient.
+
+``reference_read_graph`` is the edge-list parser as it was before it parsed
+each distinct record line once, and ``reference_canonical_edges`` the record
+validation ``MultiGraph`` ran before it kept canonical record tuples: every
+record copied, parallel multi records merged through a dict.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from kcut.dp import (
 )
 from kcut.graph import (
     MULTI,
+    WEIGHTED,
     EdgeCut,
     InvalidInputError,
     MultiGraph,
@@ -343,3 +349,82 @@ def reference_strip(g: MultiGraph, k: int, epsilon: Num) -> StripResult:
         current = MultiGraph(current.n, tuple(e for e, c in zip(current.edges, crossing) if not c), MULTI)
         iterations += 1
     return StripResult(current, removed, cc(current) >= k, iterations, w_a, threshold)
+
+
+# -- edge-list parsing and record validation ---------------------------------
+
+
+def reference_canonical_edges(n: int, edges, mode: str) -> tuple[tuple[int, int, Num], ...]:
+    """The canonical records of ``MultiGraph(n, edges, mode)``, or its error."""
+    if n < 0:
+        raise InvalidInputError("vertex count must be nonnegative")
+    if mode not in (WEIGHTED, MULTI):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    canon = []
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInputError(f"edge ({u},{v}) endpoints out of range")
+        if u == v:
+            raise InvalidInputError(f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if isinstance(w, str):
+            w = Fraction(w)
+        elif not isinstance(w, (int, Fraction)):
+            raise InvalidInputError(f"weight {w!r} is not an exact number")
+        if mode == MULTI:
+            if not isinstance(w, int) or w < 1:
+                raise InvalidInputError(f"multiplicity {w!r} must be a positive integer")
+        elif w < 0:
+            raise InvalidInputError(f"weight {w!r} must be nonnegative")
+        canon.append((u, v, w))
+    if mode == MULTI:
+        merged: dict[tuple[int, int], int] = {}
+        for u, v, w in canon:
+            merged[(u, v)] = merged.get((u, v), 0) + w
+        canon = [(u, v, w) for (u, v), w in sorted(merged.items())]
+    return tuple(canon)
+
+
+def reference_read_graph(text: str) -> MultiGraph:
+    """Parse the edge-list format, one ``Fraction`` or ``int`` per record."""
+    header = None
+    edges: list[tuple[int, int, Num]] = []
+    declared_m = 0
+    mode = MULTI
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if header is None:
+            if fields[0] != "p" or len(fields) != 4:
+                raise InvalidInputError(f"line {lineno}: expected header 'p <n> <m> <weighted|multi>'")
+            try:
+                n = int(fields[1])
+                declared_m = int(fields[2])
+            except ValueError:
+                raise InvalidInputError(f"line {lineno}: malformed header numbers") from None
+            mode = fields[3]
+            if mode not in (WEIGHTED, MULTI):
+                raise InvalidInputError(f"line {lineno}: unknown mode {mode!r}")
+            header = (n, declared_m, mode)
+            continue
+        if len(fields) != 3:
+            raise InvalidInputError(f"line {lineno}: expected 'u v w'")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+            w: Num
+            if mode == MULTI:
+                w = int(fields[2])
+            else:
+                w = Fraction(fields[2])
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"line {lineno}: malformed edge") from None
+        edges.append((u, v, w))
+    if header is None:
+        raise InvalidInputError("line 1: missing header")
+    n, declared_m, mode = header
+    if len(edges) != declared_m:
+        raise InvalidInputError(f"header declares {declared_m} edges, found {len(edges)}")
+    return MultiGraph(n, reference_canonical_edges(n, edges, mode), mode)

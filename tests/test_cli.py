@@ -145,6 +145,12 @@ class TestRunModes:
         assert code == 2
         assert "line 2" in err
 
+    def test_record_error_names_line_exit2(self, tmp_path, capsys):
+        path = write(tmp_path, "loop.g", "p 3 2 multi\n0 1 1\n2 2 1\n")
+        code, out, err = run_cli(["run", "--input", path, "--k", "2", "--mode", "oracle"], capsys)
+        assert code == 2 and not out
+        assert err == "error: line 3: self-loop at vertex '2'\n"
+
     def test_missing_file_exit2(self, capsys):
         code, _, err = run_cli(["run", "--input", "/nonexistent", "--k", "2", "--mode", "oracle"], capsys)
         assert code == 2

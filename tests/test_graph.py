@@ -1,9 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from kcut.graph import (
+    MULTI,
+    WEIGHTED,
     EdgeCut,
     InvalidInputError,
     MultiGraph,
@@ -15,6 +18,7 @@ from kcut.graph import (
     round_to_multigraph,
     write_graph,
 )
+from reference import reference_canonical_edges, reference_read_graph
 
 
 def triangle():
@@ -71,6 +75,65 @@ class TestMultiGraph:
     def test_endpoints_canonicalized(self):
         g = MultiGraph.multi(3, [(2, 0)])
         assert g.edges == ((0, 2, 1),)
+
+    def test_lists_and_reversed_records_become_canonical_tuples(self):
+        g = MultiGraph.multi(3, [[2, 0, 2], (0, 2), [1, 0]])
+        assert g.edges == ((0, 1, 1), (0, 2, 3))
+        assert all(type(rec) is tuple for rec in g.edges)
+        assert g == MultiGraph.multi(3, [(0, 1, 1), (0, 2, 3)])
+        assert g.digest() == MultiGraph.multi(3, [(0, 1, 1), (0, 2, 3)]).digest()
+        h = MultiGraph.weighted(3, [[2, 1, "6/4"], (1, 0, 0), [0, 2, "0.5"], (0, 1, Fraction(2))])
+        assert h.edges == ((1, 2, Fraction(3, 2)), (0, 1, 0), (0, 2, Fraction(1, 2)), (0, 1, 2))
+        assert all(type(rec) is tuple for rec in h.edges)
+        assert [type(w) for _, _, w in h.edges] == [Fraction, int, Fraction, Fraction]
+        sub, labels = h.induced_subgraph([2, 1])
+        assert labels == [1, 2]
+        assert sub.edges == ((0, 1, Fraction(3, 2)),)
+        assert sub == MultiGraph.weighted(2, [(1, 0, "3/2")])
+        assert sub.digest() == MultiGraph.weighted(2, [(0, 1, Fraction(3, 2))]).digest()
+
+    def test_canonical_records_kept_as_given(self):
+        recs = ((0, 1, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 2, 3))
+        g = MultiGraph.weighted(3, recs)
+        assert all(a is b for a, b in zip(g.edges, recs))
+        sorted_multi = ((0, 1, 2), (0, 2, 1), (1, 2, 5))
+        h = MultiGraph(3, sorted_multi, MULTI)
+        assert all(a is b for a, b in zip(h.edges, sorted_multi))
+
+    @pytest.mark.parametrize("mode", [MULTI, WEIGHTED])
+    def test_records_match_reference(self, mode):
+        """Seeded record lists, some faulty: the same canonical records, or
+        the same error, as the copying validation."""
+        rng = random.Random(11)
+        weights = [1, 2, 5, Fraction(3, 2), Fraction(0), "6/4", "0.5", "3", 0, -1, Fraction(-1, 2), 0.5, True]
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            edges = []
+            for _ in range(rng.randint(0, 8)):
+                u, v = rng.randint(-1, n), rng.randint(-1, n)
+                if rng.random() < 0.8 and n >= 2:
+                    u, v = rng.sample(range(n), 2)
+                w = rng.choice(weights) if rng.random() < 0.3 else rng.randint(1, 4)
+                rec = (u, v, w)
+                edges.append(list(rec) if rng.random() < 0.3 else rec)
+                if rng.random() < 0.3:
+                    edges.append(edges[-1])
+            try:
+                expected = reference_canonical_edges(n, edges, mode)
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError) as got:
+                    MultiGraph(n, tuple(edges), mode)
+                assert str(got.value) == str(exc)
+                continue
+            g = MultiGraph(n, tuple(edges), mode)
+            assert g.edges == expected
+            assert [type(w) for _, _, w in g.edges] == [type(w) for _, _, w in expected]
+            assert all(type(rec) is tuple for rec in g.edges)
+            keep = [v for v in range(n) if rng.random() < 0.7]
+            sub, labels = g.induced_subgraph(keep)
+            index = {v: i for i, v in enumerate(labels)}
+            relabeled = [(index[u], index[v], w) for u, v, w in expected if u in index and v in index]
+            assert sub.edges == reference_canonical_edges(len(labels), relabeled, mode)
 
 
 class TestCutWeight:
@@ -220,3 +283,115 @@ class TestEdgeListFormat:
             read_graph("p 3 1 multi\n0 1\n")
         with pytest.raises(InvalidInputError, match="line 1"):
             read_graph("q 3 1 multi\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 3 1 multi\n0 0 1\n", "line 2: self-loop at vertex '0'"),
+            ("p 3 1 multi\n0 5 1\n", "line 2: endpoint '5' out of range for 3 vertices"),
+            ("p 3 1 multi\n0 1 0\n", "line 2: multiplicity '0' must be a positive integer"),
+            ("p 3 1 weighted\n0 1 -1/2\n", "line 2: weight '-1/2' must be nonnegative"),
+            ("p -1 0 multi\n", "line 1: vertex count '-1' must be nonnegative"),
+            ("# c\np 3 2 multi\n0 1 1\n", "line 2: header declares 2 edges, found 1"),
+        ],
+        ids=["self-loop", "range", "multiplicity", "weight", "vertex-count", "edge-count"],
+    )
+    def test_record_error_names_line(self, text, message):
+        with pytest.raises(InvalidInputError) as exc:
+            read_graph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad", ["0 0 1", "3 0 1", "-1 2 1", "1 2 -3/6", "1 2 -0.5"])
+    def test_first_offending_line_after_repeats(self, bad):
+        """Repeated valid lines before a fault, and the fault repeated: the
+        error names the fault's first line and quotes its token."""
+        text = f"p 3 6 weighted\n0 1 1/2\n# c\n0 1 1/2\n\n1 0 1/2\n{bad}\n{bad}\n"
+        with pytest.raises(InvalidInputError, match=r"^line 7: .*'") as exc:
+            read_graph(text)
+        assert any(f"'{tok}'" in str(exc.value) for tok in bad.split())
+
+    def test_repeated_lines_share_one_record(self):
+        g = read_graph("p 3 4 weighted\n0 1 1/2\n0 1 1/2\n2 1 3\n0 1 1/2 # again\n")
+        assert g.edges == ((0, 1, Fraction(1, 2)),) * 2 + ((1, 2, 3),) + ((0, 1, Fraction(1, 2)),)
+        assert g.edges[0] is g.edges[1]
+
+
+def _edge_list_text(rng: random.Random, mode: str) -> str:
+    """A seeded edge-list text: repeated and parallel lines, u > v, comments,
+    blank lines and, in weighted mode, the tokens 3, 6/4, 0.5 and 0."""
+    n = rng.randint(2, 7)
+    tokens = ["3", "6/4", "0.5", "0", "1", "22/7", "010", "2.25"] if mode == WEIGHTED else ["1", "2", "3", "17", "010"]
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.sample(range(n), 2)
+        line = f"{u} {v} {rng.choice(tokens)}"
+        lines += [line] * rng.choice([1, 1, 2, 5])
+        if rng.random() < 0.3:
+            lines.append(f"{v} {u} {rng.choice(tokens)}")
+    m = len(lines)
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# note", "   ", "\t# x y z"]))
+    if lines and rng.random() < 0.3:
+        i = rng.randrange(len(lines))
+        lines[i] = f"  {lines[i]}   # trailing"
+    return "\n".join([f"# seeded {mode}", f"p {n} {m} {mode}"] + lines) + "\n"
+
+
+_FAULTS = [
+    "0 0 1", "0 99 1", "-1 0 1", "0 1 0", "0 1 -1/2", "0 1 -2", "0 1", "0 1 2 3", "0 1 x",
+    "0 1 1/0", "a 1 1", "p 3 1 multi", "0 1 1.5",
+]
+
+
+class TestReadGraphDifferential:
+    """read_graph against the parser it replaced (``reference_read_graph``)."""
+
+    @pytest.mark.parametrize("mode", [MULTI, WEIGHTED])
+    def test_same_graph_and_text(self, mode):
+        rng = random.Random(f"read-graph:{mode}")
+        for _ in range(200):
+            text = _edge_list_text(rng, mode)
+            g, ref = read_graph(text), reference_read_graph(text)
+            assert g == ref
+            assert [type(w) for _, _, w in g.edges] == [type(w) for _, _, w in ref.edges]
+            assert write_graph(g).encode() == write_graph(ref).encode()
+
+    @pytest.mark.parametrize("mode", [MULTI, WEIGHTED])
+    def test_same_exception_type_on_faulty_text(self, mode):
+        rng = random.Random(f"read-graph-faulty:{mode}")
+        for _ in range(200):
+            lines = _edge_list_text(rng, mode).splitlines()
+            kind = rng.randrange(4)
+            if kind == 0:
+                lines.insert(rng.randint(2, len(lines)), rng.choice(_FAULTS))
+            elif kind == 1:
+                lines[1] = rng.choice(["p -1 0 multi", "p 3 x multi", "p 3 1 foo", "p 3 1", "# no header"])
+            elif kind == 2:
+                lines.append(lines[-1] if len(lines) > 2 else "0 1 1")
+            else:
+                bad = rng.choice(_FAULTS)
+                lines[2:2] = [bad, bad]
+            text = "\n".join(lines) + "\n"
+            errors = []
+            for parse in (read_graph, reference_read_graph):
+                try:
+                    parse(text)
+                except Exception as exc:
+                    errors.append(type(exc))
+                else:
+                    errors.append(None)
+            assert errors[0] is errors[1], text
+
+    def test_calls_share_no_state(self):
+        rng = random.Random(5)
+        texts = [_edge_list_text(rng, mode) for mode in (WEIGHTED, MULTI, WEIGHTED, WEIGHTED)]
+        alone = [read_graph(t) for t in texts]
+        for a, b in itertools.permutations(range(len(texts)), 2):
+            read_graph(texts[a])
+            assert read_graph(texts[b]) == alone[b]
+        # A line parsed under one header is parsed again under the next.
+        assert read_graph("p 3 1 weighted\n0 1 1/2\n").edges == ((0, 1, Fraction(1, 2)),)
+        with pytest.raises(InvalidInputError, match="line 2: malformed edge"):
+            read_graph("p 3 1 multi\n0 1 1/2\n")
+        with pytest.raises(InvalidInputError, match="line 2: endpoint '1'"):
+            read_graph("p 1 1 weighted\n0 1 1/2\n")
