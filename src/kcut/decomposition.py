@@ -21,6 +21,7 @@ from .graph import (
     EdgeCut,
     InvalidInputError,
     MultiGraph,
+    _bits,
     bfs,
     connected_components,
     is_connected,
@@ -62,11 +63,16 @@ class TreeDecomposition:
         p = self.parent[t]
         return frozenset() if p == -1 else self.bags[t] & self.bags[p]
 
-    def gamma(self, t: int) -> frozenset[int]:
-        return frozenset().union(*(self.bags[u] for u in bfs(self.children_map(), t)[0]))
-
-    def alpha(self, t: int) -> frozenset[int]:
-        return self.gamma(t) - self.adhesion(t)
+    def gammas(self) -> list[frozenset[int]]:
+        """Every node's gamma, the union of the bags in its subtree, from
+        one reversed breadth-first pass; a node's alpha is its gamma less
+        its adhesion."""
+        out = list(self.bags)
+        for t in reversed(bfs(self.children_map(), self.root)[0]):
+            p = self.parent[t]
+            if p != -1:
+                out[p] = out[p] | out[t]
+        return out
 
     def max_adhesion(self) -> int:
         return max((len(self.adhesion(t)) for t in range(len(self)) if self.parent[t] != -1), default=0)
@@ -98,14 +104,15 @@ def is_compact(td: TreeDecomposition, g: MultiGraph) -> bool:
     """Every non-root subtree with nonempty adhesion has connected private
     vertices whose neighborhood is exactly that adhesion."""
     adj = g.neighbors()
-    return all(_compact_at(td, t, adj) for t in range(len(td)) if td.parent[t] != -1 and td.adhesion(t))
+    gammas = td.gammas()
+    return all(_compact_at(td, t, gammas[t], adj) for t in range(len(td)) if td.parent[t] != -1 and td.adhesion(t))
 
 
-def _compact_at(td: TreeDecomposition, t: int, adj) -> bool:
-    """Whether alpha(t) is nonempty and connected and N(alpha(t)) is t's
-    adhesion.  An empty alpha(t) marks a redundant subtree, which the
-    splitter in ``compactify`` drops."""
-    alpha = td.alpha(t)
+def _compact_at(td: TreeDecomposition, t: int, gamma: frozenset[int], adj) -> bool:
+    """Whether alpha(t), t's ``gamma`` less its adhesion, is nonempty and
+    connected and N(alpha(t)) is t's adhesion.  An empty alpha(t) marks a
+    redundant subtree, which the splitter in ``compactify`` drops."""
+    alpha = gamma - td.adhesion(t)
     if not alpha or len(_components(alpha, adj)) > 1:
         return False
     return {w for u in alpha for w in adj[u] if w not in alpha} == td.adhesion(t)
@@ -153,7 +160,9 @@ class WitnessSearchBase:
     every two classes are separated by one, and there is one class exactly
     when no cut of order <= s exists at all.  The rest is the network the
     decisions run on and a breadth-first spanning tree from vertex 0, with
-    the vertex set below each tree vertex.
+    two masks per tree vertex from one reversed pass: ``sub_vertices[v]``
+    holds the vertices below v, vertex u as bit n-1-u (``vbit[u]``), and
+    ``sub_classes[v]`` the classes they meet.
     """
 
     def __init__(self, g: MultiGraph, s: int):
@@ -165,21 +174,14 @@ class WitnessSearchBase:
         self.bit = [1 << r for r in label]
         self.one_class = len(set(label)) == 1
         order, parent = bfs([sorted(set(ns)) for ns in g.neighbors()], 0)
-        kids: list[list[int]] = [[] for _ in range(g.n)]
-        for v in range(g.n):
-            if parent[v] >= 0:
-                kids[parent[v]].append(v)
-        subtree: list[frozenset[int]] = [frozenset()] * g.n
-        for v in reversed(order):
-            subtree[v] = frozenset([v]).union(*(subtree[c] for c in kids[v]))
-        self.parent, self.kids, self.subtree = parent, kids, subtree
-
-    def mask(self, vertices: Iterable[int]) -> int:
-        """The classes that meet ``vertices``, as a bitmask."""
-        m = 0
-        for v in vertices:
-            m |= self.bit[v]
-        return m
+        self.parent, self.kids = parent, [[] for _ in range(g.n)]
+        for v in order[1:]:  # each vertex's children come out ascending
+            self.kids[parent[v]].append(v)
+        self.vbit = [1 << (g.n - 1 - v) for v in range(g.n)]
+        self.sub_vertices, self.sub_classes = self.vbit[:], self.bit[:]
+        for v in reversed(order[1:]):
+            self.sub_vertices[parent[v]] |= self.sub_vertices[v]
+            self.sub_classes[parent[v]] |= self.sub_classes[v]
 
 
 def find_breakability_witness(base: WitnessSearchBase, terminals: Iterable[int]) -> EdgeCut | None:
@@ -188,72 +190,77 @@ def find_breakability_witness(base: WitnessSearchBase, terminals: Iterable[int])
     Returns a cut with at least s+1 terminals on both sides when the search
     family hits one; returns None only when no cut of order <= s has
     (s+1)^5 or more terminals on both sides, so absence certifies
-    ((s+1)^5, s)-edge-unbreakability of the terminal set.
+    ((s+1)^5, s)-edge-unbreakability of the terminal set.  Terminals must
+    be vertices of the graph.
 
     The graph and s are those of ``base``, which holds everything that
     does not depend on the terminals; the builder makes one per component
-    and passes it to every search.  Each disjoint pair of family members is
-    decided in a fixed order by a bounded flow, and the first small cut is
-    returned.  The base's classes settle decisions without a flow: a pair
-    whose members meet one class has no cut of order <= s between them, so
-    only pairs with disjoint class masks reach the network, and a graph of
-    one class has no witness at all.  A settled decision would have
-    returned None, so the search returns the same cut either way.
+    and passes it to every search.  Family members are vertex masks, each
+    with the mask of the classes it meets, in order of size, then sorted
+    vertex list: ascending (size, -mask), with vertex u as bit n-1-u.  A
+    cut of order <= s keeps every class whole, so whether two members have
+    one between them, and the least minimum cut that does, depend only on
+    their class masks, and a bounded flow between the classes' least
+    vertices (the mask bits) decides it.  So the first member per class
+    mask stands for the rest: pairs of those with disjoint class masks are
+    decided in order, and the first small cut is the one deciding every
+    pair of members would give.  One class means no witness at all.
     """
     g, s = base.g, base.s
-    q = frozenset(terminals)
+    q = set(terminals)
+    if any(not 0 <= v < g.n for v in q):
+        raise InvalidInputError(f"terminals must be vertices 0..{g.n - 1}")
     if len(q) < 2 * (s + 1) or base.one_class:
         return None
 
-    parent, kids, subtree = base.parent, base.kids, base.subtree
-    below = [len(sub & q) for sub in subtree]  # terminals per subtree
+    parent, kids, vbit, bit = base.parent, base.kids, base.vbit, base.bit
+    sub_vertices, sub_classes = base.sub_vertices, base.sub_classes
+    qmask = sum(vbit[v] for v in q)
+    below = [(m & qmask).bit_count() for m in sub_vertices]  # terminals per subtree
 
-    family: set[frozenset[int]] = set()
+    family: dict[int, int] = {}  # vertex mask -> class mask
     for v in range(g.n):
         if below[v] >= s + 1:
-            family.add(subtree[v])
+            family[sub_vertices[v]] = sub_classes[v]
 
     # Ancestor-descendant paths, walking each vertex up to the root.  Each
-    # step adds one vertex to the path, so the path's terminal count and its
-    # off-path children with terminals below them (``good``) grow by the new
-    # top's share: its own membership and its children but the one just left.
-    # ``kids`` lists are ascending, so ``good`` stays sorted.
+    # step adds one vertex to the path, so the path's masks, its terminal
+    # count and its off-path children with terminals below them (``good``)
+    # grow by the new top's share: its own membership and its children but
+    # the one just left.  ``kids`` lists are ascending, so ``good`` stays
+    # sorted, and bundle i takes every (s+1)-th of it from the i-th on.
     for v in range(g.n):
-        path = [v]
+        path, path_classes = vbit[v], bit[v]
         hits = int(v in q)
         if hits >= s + 1:  # only possible at s = 0
-            family.add(frozenset(path))
+            family[path] = path_classes
         good = [w for w in kids[v] if below[w]]
         u = v
         while u != 0:
             child, u = u, parent[u]
-            path.append(u)
+            path |= vbit[u]
+            path_classes |= bit[u]
             hits += u in q
             for w in kids[u]:
                 if w != child and below[w]:
                     insort(good, w)
             if hits >= s + 1:
-                family.add(frozenset(path))
+                family[path] = path_classes
             if len(good) < (s + 1) ** 2:
                 continue
-            bundles: list[set[int]] = [set() for _ in range(s + 1)]
-            for i, w in enumerate(good):
-                bundles[i % (s + 1)].add(w)
-            for bundle in bundles:
-                assert len(bundle) >= s + 1
-                h = set(path)
-                for w in bundle:
-                    h |= subtree[w]
-                family.add(frozenset(h))
+            for i in range(s + 1):
+                h, c = path, path_classes
+                for w in good[i :: s + 1]:
+                    h |= sub_vertices[w]
+                    c |= sub_classes[w]
+                family[h] = c
 
-    members = sorted(family, key=lambda c: (len(c), sorted(c)))
-    masks = [base.mask(c) for c in members]
-    for i, c1 in enumerate(members):
-        m1 = masks[i]
-        for j in range(i + 1, len(members)):
-            if m1 & masks[j]:
-                continue  # a shared class, or a shared vertex
-            side = base.net.small_cut_side(c1, members[j], s)
+    classes = list(dict.fromkeys(family[m] for m in sorted(family, key=lambda m: (m.bit_count(), -m))))
+    for i, c1 in enumerate(classes):
+        for c2 in classes[i + 1 :]:
+            if c1 & c2:
+                continue  # a shared class
+            side = base.net.small_cut_side(_bits(c1), _bits(c2), s)
             if side is not None:
                 cut = EdgeCut.of(g, side)
                 assert cut.order <= s
@@ -403,17 +410,18 @@ def compactify(td: TreeDecomposition, g: MultiGraph) -> TreeDecomposition:
     adj = g.neighbors()
     for _ in range(20 * (len(td.bags) + g.n + 10)):
         td = cleanup(td)
-        target = _first_compactness_violation(td, adj)
+        gammas = td.gammas()
+        target = _first_compactness_violation(td, gammas, adj)
         if target is None:
             assert is_compact(td, g)
             return td
-        td = _split_subtree(td, target, adj)
+        td = _split_subtree(td, target, gammas[target] - td.adhesion(target), adj)
     raise AssertionError("compactification failed to converge")
 
 
-def _first_compactness_violation(td: TreeDecomposition, adj) -> int | None:
+def _first_compactness_violation(td: TreeDecomposition, gammas: Sequence[frozenset[int]], adj) -> int | None:
     order = bfs(td.children_map(), td.root)[0]
-    return next((t for t in order if td.parent[t] != -1 and not _compact_at(td, t, adj)), None)
+    return next((t for t in order if td.parent[t] != -1 and not _compact_at(td, t, gammas[t], adj)), None)
 
 
 def _components(vertices: frozenset[int], adj) -> list[set[int]]:
@@ -434,12 +442,12 @@ def _components(vertices: frozenset[int], adj) -> list[set[int]]:
     return sorted(out, key=min)
 
 
-def _split_subtree(td: TreeDecomposition, c: int, adj) -> TreeDecomposition:
-    """Replace subtree(c) with one restricted copy per component of alpha(c)."""
+def _split_subtree(td: TreeDecomposition, c: int, alpha: frozenset[int], adj) -> TreeDecomposition:
+    """Replace subtree(c) with one restricted copy per component of
+    ``alpha``, c's private vertices alpha(c)."""
     p = td.parent[c]
     assert p != -1
     sub_nodes = bfs(td.children_map(), c)[0]
-    alpha = td.alpha(c)
 
     keep_nodes = [t for t in range(len(td)) if t not in set(sub_nodes)]
     bags: list[frozenset[int]] = [td.bags[t] for t in keep_nodes]

@@ -4,13 +4,14 @@ solution size.
 The solver walks a compact edge-unbreakable tree decomposition bottom-up.
 At each node it guesses which 2k-2 edges (all, when fewer) of a spanning
 tree's projection onto the bag an optimal solution cuts, groups the
-guess's pieces (its components, straight from the projection rooted once,
-restricted to the bag) into at most k parts, and composes the node's
-children with each grouping through one knapsack.  Every grouping is
-scored from one piece-pair weight matrix, and every node keeps only the
-lightest grouping per (adhesion projection, part count, child adhesion
-projections).  Bags of every size and nodes with or without children take
-this one path (``_Engine`` explains why it is exact).
+guess's pieces (its components, straight from the lower sides the
+projection gives its edges, restricted to the bag) into at most k parts,
+and composes the node's children with each grouping through one knapsack.
+Every grouping is scored from one piece-pair weight matrix, and every node
+keeps only the lightest grouping per (adhesion projection, part count,
+child adhesion projections).  Bags of every size and nodes with or
+without children take this one path (``_Engine`` explains why it is
+exact).
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
@@ -44,6 +45,8 @@ from .graph import (
     InvalidInputError,
     MultiGraph,
     Partition,
+    _bits,
+    _mask,
     bfs,
     cut_weight,
     is_connected,
@@ -61,22 +64,6 @@ def guess_budget(k: int) -> int:
 # -- bitmask partition helpers ----------------------------------------------
 
 MaskPartition = tuple[int, ...]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _proj_masks(parts: Sequence[int], mask: int) -> MaskPartition:
@@ -148,17 +135,21 @@ def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[i
     return bfs(adj, 0)
 
 
-def _projection(order: Sequence[int], parent: Sequence[int], xmask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Vertex mask and sorted (u, v) edges of a tree's projection onto a
+def _projection(
+    order: Sequence[int], parent: Sequence[int], xmask: int
+) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Vertex mask, sorted (u, v) edges and each edge's lower side (the
+    mask of the kept vertices below it) of a tree's projection onto a
     nonempty hub mask, in linear time, from the breadth-first order and
     parent links that ``_rooting`` gives once per tree and every bag
     shares.  The projection deletes non-hub leaves and smooths non-hub
     degree-2 vertices until none is left, so at most twice as many vertices
     as hubs remain.  That leaves the minimal subtree spanning the hubs with
     its non-hub degree-2 vertices dissolved: the hubs plus every vertex
-    where three branches toward hubs meet.  Each such vertex joins
-    the nearest one above it; when the hubs' lowest common ancestor is
-    dissolved, its two branches' top vertices join each other instead."""
+    where three branches toward hubs meet.  Each such vertex joins the
+    nearest one above it; when the hubs' lowest common ancestor is
+    dissolved, its two branches' top vertices join each other instead, and
+    one top's branch is that edge's lower side."""
     nx = xmask.bit_count()
     cnt = [0] * len(order)  # hubs below each vertex
     for v in reversed(order):
@@ -172,51 +163,28 @@ def _projection(order: Sequence[int], parent: Sequence[int], xmask: int) -> tupl
             if cnt[v] < nx:
                 ways[v] += 1
     keep = [xmask >> v & 1 or ways[v] >= 3 for v in range(len(order))]
-    vmask = 0
-    edges = []
+    side = [0] * len(order)  # kept vertices below each vertex, itself included
+    found = []
     tops = []
-    for v in order:
-        if not keep[v]:
-            continue
-        vmask |= 1 << v
-        if cnt[v] == nx:
-            continue  # the top of the projection
-        u = parent[v]
-        while cnt[u] < nx and not keep[u]:
-            u = parent[u]
-        if keep[u]:
-            edges.append((u, v) if u < v else (v, u))
-        else:
-            tops.append(v)
+    for v in reversed(order):
+        if keep[v]:
+            side[v] |= 1 << v
+            if cnt[v] < nx:  # not the top of the projection
+                u = parent[v]
+                while cnt[u] < nx and not keep[u]:
+                    u = parent[u]
+                if keep[u]:
+                    found.append(((u, v) if u < v else (v, u), side[v]))
+                else:
+                    tops.append(v)
+        if parent[v] >= 0:
+            side[parent[v]] |= side[v]
+    vmask = side[order[0]]
     if tops:
         a, b = tops
-        edges.append((a, b) if a < b else (b, a))
-    edges.sort()
-    return vmask, tuple(edges)
-
-
-def _rooted_sides(vmask: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Per edge of a projected tree, the mask of the vertices below it when
-    the tree hangs from its smallest vertex."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in _bits(vmask)}
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    order = [min(adj)] if adj else []
-    up = {v: (-1, -1) for v in order}
-    for v in order:
-        for w, i in adj[v]:
-            if w not in up:
-                up[w] = (v, i)
-                order.append(w)
-    sub = {v: 1 << v for v in order}
-    below = [0] * len(edges)
-    for v in reversed(order):
-        p, i = up[v]
-        if i >= 0:
-            below[i] = sub[v]
-            sub[p] |= sub[v]
-    return tuple(below)
+        found.append(((a, b) if a < b else (b, a), side[a]))
+    found.sort()
+    return vmask, tuple([e for e, _ in found]), tuple([below for _, below in found])
 
 
 def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list[int]:
@@ -331,6 +299,7 @@ class _Engine:
         self._wmemo: dict[MaskPartition, int] = {}
         kids = td.children_map()
         self._order = bfs(kids, td.root)[0]
+        gammas = td.gammas()
         for t in range(len(td)):
             bag = td.bags[t]
             children = kids[t]
@@ -339,7 +308,7 @@ class _Engine:
                 bag_mask=_mask(bag),
                 adh_mask=adh_mask,
                 iface_mask=adh_mask | _mask(v for c in children for v in td.adhesion(c)),
-                gamma_mask=_mask(td.gamma(t)),
+                gamma_mask=_mask(gammas[t]),
                 children=children,
                 child_masks=tuple(_mask(td.adhesion(c)) for c in children),
                 bag_edges=[(u, v, w) for u, v, w in g.edges if u in bag and v in bag],
@@ -387,20 +356,19 @@ class _Engine:
         order, parent = _rooting(tree, self.g.n)
         for t, ctx in self.ctxs.items():
             cands = self.cands[t]
-            key = _projection(order, parent, ctx.bag_mask)
-            if key not in cands.seen_proj:
-                cands.seen_proj.add(key)
-                if self._add_projection(ctx, cands, *key):
+            vmask, edges, below = _projection(order, parent, ctx.bag_mask)
+            if (vmask, edges) not in cands.seen_proj:
+                cands.seen_proj.add((vmask, edges))
+                if self._add_projection(ctx, cands, vmask, below):
                     self._dirty.add(t)
 
-    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, edges: tuple) -> bool:
+    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, below: tuple) -> bool:
         """Take in every maximal guess of crossed edges of one bag
         projection, min(2k-2, edges) of them, whose components come straight
-        from the projection rooted once; True if the candidates improved.  A
-        node's value is monotone under guess enlargement, since finer pieces
-        have every grouping coarser ones have."""
-        below = _rooted_sides(vmask, edges)
-        m = len(edges)
+        from the edges' lower sides ``below``; True if the candidates
+        improved.  A node's value is monotone under guess enlargement, since
+        finer pieces have every grouping coarser ones have."""
+        m = len(below)
         grew = False
         for guess in combinations(range(m), min(guess_budget(self.k), m)):
             grew |= self._add_guess(ctx, cands, _cut_components(vmask, below, guess))

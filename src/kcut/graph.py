@@ -274,6 +274,24 @@ def bfs(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for every v in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def connected_components(g: MultiGraph) -> Partition:
     """The partition of V(G) into maximal connected vertex sets."""
     parent = list(range(g.n))

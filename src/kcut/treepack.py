@@ -23,7 +23,6 @@ class TreeFamily:
 
     graph: MultiGraph
     trees: tuple[tuple[int, ...], ...]
-    loads: tuple[int, ...]
 
     def tree_edges(self, i: int) -> tuple[tuple[int, int], ...]:
         return tuple((self.graph.edges[e][0], self.graph.edges[e][1]) for e in self.trees[i])
@@ -68,7 +67,7 @@ def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
         if key not in seen:
             seen.add(key)
             trees.append(key)
-    return TreeFamily(g, tuple(trees), tuple(loads))
+    return TreeFamily(g, tuple(trees))
 
 
 def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
@@ -111,9 +110,5 @@ def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
             child = list(parent)
             uf_union(child, u, v)
             stack.append((e + 1, child, chosen + (e,)))
-    loads = [0] * m
-    for t in found:
-        for e in t:
-            loads[e] += 1
-    return TreeFamily(g, tuple(found), tuple(loads))
+    return TreeFamily(g, tuple(found))
 

@@ -4,8 +4,13 @@ None of this runs on a solver path.  ``project_tree`` and ``feasible_family``
 build a tree's projection and feasible family the way the paper states them
 (the engine projects in linear time from a tree rooted once and never builds
 a family); ``is_bag_unbreakable`` checks edge-unbreakability by brute force;
-``crossings`` counts the tree edges a partition cuts.  The engine helpers
-they share come from ``kcut.dp``.
+``crossings`` counts the tree edges a partition cuts.  The feasible family
+finds a cut tree's components by its own union-find and takes only the
+grouping helpers from ``kcut.dp``.
+
+``reference_find_breakability_witness`` is the witness search on frozenset
+members: every member of the family kept and every disjoint pair decided,
+where the search keeps one member per class mask.
 
 ``reference_global_min_2cut`` runs a fresh matrix max-flow per sink, and
 ``reference_approx2_kcut`` and ``reference_strip`` run the greedy
@@ -33,12 +38,9 @@ from typing import Iterable, Sequence
 from kcut.cuts import merge_to_k_parts, oracle_exact_kcut, to_integer_multigraph
 from kcut.dp import (
     MaskPartition,
-    _cut_components,
     _label_vectors,
-    _mask,
     _merged,
     _proj_masks,
-    _rooted_sides,
     guess_budget,
     unmask_partition,
 )
@@ -50,6 +52,9 @@ from kcut.graph import (
     MultiGraph,
     Num,
     Partition,
+    _bits,
+    _mask,
+    bfs,
     cc,
     connected_components,
     cut_weight,
@@ -152,14 +157,27 @@ def _feasible_masks(xmask: int, vmask: int, edges: Sequence[tuple[int, int]], k:
     merging the resulting components."""
     if not xmask:
         return frozenset({()})
-    below = _rooted_sides(vmask, edges)
     out: set[MaskPartition] = set()
     budget = min(guess_budget(k), len(edges))
     for r in range(budget + 1):
         for cut in combinations(range(len(edges)), r):
-            for merged in _groupings(_cut_components(vmask, below, cut)):
+            for merged in _groupings(_forest_components(vmask, edges, cut)):
                 out.add(_proj_masks(merged, xmask))
     return frozenset(out)
+
+
+def _forest_components(vmask: int, edges: Sequence[tuple[int, int]], cut: Sequence[int]) -> list[int]:
+    """Sorted component masks of the tree on ``vmask`` less the edges
+    indexed by ``cut``, by union-find."""
+    parent = list(range(vmask.bit_length()))
+    for i, (u, v) in enumerate(edges):
+        if i not in cut:
+            uf_union(parent, u, v)
+    comps: dict[int, int] = {}
+    for v in _bits(vmask):
+        r = uf_find(parent, v)
+        comps[r] = comps.get(r, 0) | 1 << v
+    return sorted(comps.values())
 
 
 def feasible_family(pt: ProjectedTree, k: int) -> FeasibleFamily:
@@ -199,6 +217,61 @@ def is_bag_unbreakable(g: MultiGraph, bag: Iterable[int], q: int, s: int) -> boo
                     if len(side & bag) > q and len(bag - side) > q:
                         return False
     return True
+
+
+def reference_find_breakability_witness(base, terminals: Iterable[int]) -> EdgeCut | None:
+    """The witness search on frozensets: the same family, from the same
+    breadth-first tree, sorted by (size, sorted vertices), with every
+    member kept and every disjoint pair of members that meets no common
+    class decided in that order, each flow between the members' own
+    vertices.  Uses only the graph, s, network and class bits of ``base``
+    (a ``WitnessSearchBase``)."""
+    g, s = base.g, base.s
+    q = frozenset(terminals)
+    if len(q) < 2 * (s + 1) or len(set(base.bit)) == 1:
+        return None
+    order, parent = bfs([sorted(set(ns)) for ns in g.neighbors()], 0)
+    kids: list[list[int]] = [[] for _ in range(g.n)]
+    for v in range(g.n):
+        if parent[v] >= 0:
+            kids[parent[v]].append(v)
+    subtree: list[frozenset[int]] = [frozenset()] * g.n
+    for v in reversed(order):
+        subtree[v] = frozenset([v]).union(*(subtree[c] for c in kids[v]))
+    below = [len(sub & q) for sub in subtree]
+
+    family: set[frozenset[int]] = {subtree[v] for v in range(g.n) if below[v] >= s + 1}
+    for v in range(g.n):
+        path = [v]
+        good = [w for w in kids[v] if below[w]]
+        if len(q.intersection(path)) >= s + 1:
+            family.add(frozenset(path))
+        u = v
+        while u != 0:
+            child, u = u, parent[u]
+            path.append(u)
+            good += [w for w in kids[u] if w != child and below[w]]
+            good.sort()
+            if len(q.intersection(path)) >= s + 1:
+                family.add(frozenset(path))
+            if len(good) < (s + 1) ** 2:
+                continue
+            bundles: list[set[int]] = [set() for _ in range(s + 1)]
+            for i, w in enumerate(good):
+                bundles[i % (s + 1)].add(w)
+            for bundle in bundles:
+                family.add(frozenset(path).union(*(subtree[w] for w in bundle)))
+
+    members = sorted(family, key=lambda c: (len(c), sorted(c)))
+    classes = [{base.bit[v] for v in c} for c in members]
+    for i, c1 in enumerate(members):
+        for j in range(i + 1, len(members)):
+            if classes[i] & classes[j]:
+                continue
+            side = base.net.small_cut_side(c1, members[j], s)
+            if side is not None:
+                return EdgeCut.of(g, side)
+    return None
 
 
 def crossings(tree: Iterable[tuple[int, int]], p: Partition) -> int:

@@ -19,7 +19,7 @@ from kcut.decomposition import (
     witness_to_lean,
 )
 from kcut.graph import InvalidInputError, MultiGraph
-from reference import is_bag_unbreakable, matrix_max_flow
+from reference import is_bag_unbreakable, matrix_max_flow, reference_find_breakability_witness
 
 
 def path(n):
@@ -100,6 +100,15 @@ class TestWitnessSearch:
         g = MultiGraph.multi(4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidInputError):
             find_breakability_witness(WitnessSearchBase(g, 1), range(4))
+
+    def test_negative_terminal_rejected(self):
+        # A negative id must not wrap around to the last vertex.
+        with pytest.raises(InvalidInputError):
+            find_breakability_witness(WitnessSearchBase(path(8), 1), [-1, 0, 1, 2, 3, 4])
+
+    def test_too_large_terminal_rejected(self):
+        with pytest.raises(InvalidInputError):
+            find_breakability_witness(WitnessSearchBase(path(8), 1), [0, 1, 2, 3, 4, 8])
 
     def test_returned_cut_is_balanced_random(self):
         rng = random.Random(8)
@@ -453,3 +462,28 @@ class TestWitnessSearchClasses:
         # witnesses.  Deciding every disjoint pair of family members took
         # 14,982.
         assert len(decisions) <= 18
+
+
+class TestWitnessSearchReference:
+    """One member per class mask, flows between class representatives,
+    finds the cut that every member and every pair of them finds."""
+
+    GRAPHS = [
+        tree_plus_chords(seed, n, chords)
+        for seed, n, chords in ((4, 18, 4), (5, 26, 8), (6, 34, 6), (7, 30, 12), (8, 40, 3))
+    ] + [clique_ring(seed, cliques, size) for seed, cliques, size in ((3, 5, 4), (4, 6, 5), (5, 8, 3), (6, 4, 6))]
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_matches_reference(self, s):
+        rng = random.Random(100 + s)
+        hits = 0
+        for g in self.GRAPHS:
+            base = WitnessSearchBase(g, s)
+            terminal_sets = [range(g.n)] + [
+                rng.sample(range(g.n), rng.randint(min(2 * s + 2, g.n), g.n)) for _ in range(12)
+            ]
+            for q in terminal_sets:
+                cut = find_breakability_witness(base, q)
+                assert cut == reference_find_breakability_witness(base, q), (g, s, q)
+                hits += cut is not None
+        assert hits or s == 0  # one class at s = 0: no witness anywhere

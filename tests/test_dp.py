@@ -11,15 +11,13 @@ from kcut.dp import (
     Partition,
     _cut_components,
     _Engine,
-    _mask,
     _projection,
-    _rooted_sides,
     _rooting,
     _values,
     exact_values,
     solve_exact,
 )
-from kcut.graph import InvalidInputError, MultiGraph, cut_weight
+from kcut.graph import InvalidInputError, MultiGraph, _mask, cut_weight
 from kcut.treepack import enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
@@ -100,8 +98,8 @@ def cut_guess_value(g, td, tree, t, key, cprime, child_tables, s, k):
     the right guess."""
     engine = _prepared_engine(g, td, k, s, child_tables)
     ctx = engine.ctxs[t]
-    vmask, edges = _projection(*_rooting(tree, g.n), ctx.bag_mask)
-    comps = _cut_components(vmask, _rooted_sides(vmask, edges), set(cprime))
+    vmask, _, below = _projection(*_rooting(tree, g.n), ctx.bag_mask)
+    comps = _cut_components(vmask, below, set(cprime))
     engine._add_guess(ctx, engine.cands[t], comps)
     return _state_value(engine, t, key)
 
@@ -187,8 +185,33 @@ class TestProjectionKey:
             tree = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree]
             x = rng.sample(range(n), rng.randint(1, n))
             pt = project_tree(tree, x)
-            got = _projection(*_rooting(tree, n), _mask(x))
-            assert got == (_mask(pt.vertices), _edge_pairs(pt)), (tree, x)
+            vmask, edges, below = _projection(*_rooting(tree, n), _mask(x))
+            assert (vmask, edges) == (_mask(pt.vertices), _edge_pairs(pt)), (tree, x)
+            # Each lower side is one side of the projection less its edge,
+            # and every two are nested or disjoint, as under one root.
+            assert len(below) == len(edges)
+            for i, side in enumerate(below):
+                assert side in _sides_without(pt.vertices, edges, i), (tree, x, edges[i])
+                assert all(side & other in (0, side, other) for other in below), (tree, x)
+
+
+def _sides_without(vertices, edges, i):
+    """The two vertex masks a tree on ``vertices`` splits into once edge i
+    of ``edges`` is deleted."""
+    adj = {v: [] for v in vertices}
+    for j, (u, v) in enumerate(edges):
+        if j != i:
+            adj[u].append(v)
+            adj[v].append(u)
+    start = edges[i][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return {_mask(seen), _mask(set(vertices) - seen)}
 
 
 def _identity_projection(tree, x):
