@@ -40,14 +40,6 @@ def _num_str(x) -> str:
     return str(Fraction(x)) if not isinstance(x, int) else str(x)
 
 
-def _partition_labels(p: Partition, n: int) -> list[int]:
-    labels = [-1] * n
-    for idx, part in enumerate(p.parts):
-        for v in part:
-            labels[v] = idx
-    return labels
-
-
 def _validated_partition(g: MultiGraph, p: Partition, k: int, value) -> list[int]:
     if len(p) != k or any(not part for part in p.parts):
         raise AssertionError("partition must have exactly k nonempty parts")
@@ -55,7 +47,8 @@ def _validated_partition(g: MultiGraph, p: Partition, k: int, value) -> list[int
         raise AssertionError("partition must cover the vertex set")
     if cut_weight(g, p) != value:
         raise AssertionError("reported value differs from the recomputed weight")
-    return _partition_labels(p, g.n)
+    label = p.part_of()
+    return [label[v] for v in range(g.n)]
 
 
 def _report(args, g: MultiGraph, body: dict) -> dict:
@@ -174,12 +167,7 @@ def _cmd_generate(args) -> int:
         if args.n < 1 or args.m < 0 or (args.n == 1 and args.m > 0):
             print("error: incompatible n and m", file=sys.stderr)
             return 2
-        counts: dict[tuple[int, int], int] = {}
-        for _ in range(args.m):
-            u, v = rng.sample(range(args.n), 2)
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-        edges = [(u, v, c) for (u, v), c in sorted(counts.items())]
+        pairs = [rng.sample(range(args.n), 2) for _ in range(args.m)]
         lines.append(f"# random multigraph n={args.n} m={args.m} seed={args.seed}")
     elif args.gen == "planted":
         k, n = args.k, args.n
@@ -190,31 +178,24 @@ def _cmd_generate(args) -> int:
             print("error: --cross must be 0, or positive with k >= 2", file=sys.stderr)
             return 2
         clusters = [list(range(c, n, k)) for c in range(k)]
-        counts = {}
-
-        def bump(u, v):
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-
+        pairs = []
         for cluster in clusters:
-            for a, b in zip(cluster, cluster[1:]):
-                bump(a, b)
+            pairs += zip(cluster, cluster[1:])
             extra = max(0, (args.m - (n - k) - args.cross) // k)
             for _ in range(extra):
                 if len(cluster) >= 2:
-                    u, v = rng.sample(cluster, 2)
-                    bump(u, v)
+                    pairs.append(rng.sample(cluster, 2))
         for _ in range(args.cross):
             ca, cb = rng.sample(range(k), 2)
-            bump(rng.choice(clusters[ca]), rng.choice(clusters[cb]))
-        edges = [(u, v, c) for (u, v), c in sorted(counts.items())]
+            pairs.append((rng.choice(clusters[ca]), rng.choice(clusters[cb])))
         lines.append(
             f"# planted k={k} cross={args.cross} seed={args.seed}; optimum k-cut <= {args.cross}"
         )
     else:
         print(f"error: unknown generator {args.gen!r}", file=sys.stderr)
         return 2
-    g = MultiGraph.multi(args.n, edges)
+    # MultiGraph merges the parallel pairs into multiplicities.
+    g = MultiGraph.multi(args.n, pairs)
     lines.append(write_graph(g).rstrip("\n"))
     text = "\n".join(lines) + "\n"
     if args.out:

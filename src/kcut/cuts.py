@@ -34,6 +34,7 @@ from .graph import (
     Partition,
     connected_components,
     cut_weight,
+    set_partitions,
     uf_find,
 )
 
@@ -71,6 +72,18 @@ class ResidualNetwork:
     def of(cls, g: MultiGraph) -> ResidualNetwork:
         _require_multi(g)
         return cls(g.n, ((u, v, w, w) for u, v, w in g.edges))
+
+    @classmethod
+    def split(cls, g: MultiGraph) -> ResidualNetwork:
+        """The node-split network of g, whose flows are vertex-disjoint
+        paths: v_in = 2v and v_out = 2v+1, arc v is v's unit arc, and each
+        edge joins the out-nodes to the in-nodes with capacity n, more than
+        any such flow."""
+        n = g.n
+        arcs = [(2 * v, 2 * v + 1, 1, 0) for v in range(n)]
+        for u, v, _ in g.edges:
+            arcs += ((2 * u + 1, 2 * v, n, 0), (2 * v + 1, 2 * u, n, 0))
+        return cls(2 * n, arcs)
 
     def bounded_flow(
         self, sources: Iterable[int], sinks: Iterable[int], s: int
@@ -214,13 +227,13 @@ def min_vertex_separator(g: MultiGraph, z1: Iterable[int], z2: Iterable[int]) ->
     if not z1:
         raise InvalidInputError("terminal sets must be nonempty")
     _require_vertices(g, z1 + z2)
-    n = g.n
-    # v_in = 2v, v_out = 2v+1.  Arc v is v's unit arc; each edge joins the
-    # out-nodes to the in-nodes with capacity n, more than any flow here.
-    arcs = [(2 * v, 2 * v + 1, 1, 0) for v in range(n)]
-    for u, v, _ in g.edges:
-        arcs += ((2 * u + 1, 2 * v, n, 0), (2 * v + 1, 2 * u, n, 0))
-    net = ResidualNetwork(2 * n, arcs)
+    return _vertex_separation(ResidualNetwork.split(g), z1, z2)
+
+
+def _vertex_separation(net: ResidualNetwork, z1: list[int], z2: list[int]) -> SeparatorResult:
+    """``min_vertex_separator`` on ``ResidualNetwork.split(g)`` for sorted,
+    equally long, nonempty terminal lists of vertices of g."""
+    n = net.n // 2
     res = net.bounded_flow([2 * v for v in z1], [2 * v + 1 for v in z2], len(z1))
     assert res is not None
     order, cap, reached = res
@@ -488,25 +501,6 @@ def _greedy_splits(h: MultiGraph, k: int) -> tuple[list[set[int]], list[tuple[in
 # -- exact oracle -----------------------------------------------------------
 
 
-def _partitions_into_k(n: int, k: int):
-    """Yield vertex labelings (restricted growth strings) with exactly k blocks."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if n - i < k - used:
-            return
-        if i == n:
-            if used == k:
-                yield tuple(labels)
-            return
-        top = min(used + 1, k)
-        for c in range(top):
-            labels[i] = c
-            yield from rec(i + 1, used + (1 if c == used else 0))
-
-    yield from rec(1, 1) if n else iter(())
-
-
 def oracle_exact_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
     """Exact minimum k-cut by exhausting all set partitions into exactly k
     nonempty parts; refuses instances with more than 14 vertices."""
@@ -519,7 +513,7 @@ def oracle_exact_kcut(g: MultiGraph, k: int) -> tuple[Partition, Num]:
     h, _ = to_integer_multigraph(g)
     best_val: int | None = None
     best_labels: tuple[int, ...] | None = None
-    for labels in _partitions_into_k(g.n, k):
+    for labels in set_partitions(g.n, k, k):
         val = 0
         for u, v, w in h.edges:
             if labels[u] != labels[v]:

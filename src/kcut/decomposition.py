@@ -15,13 +15,14 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cuts import ResidualNetwork, _classes_above, min_vertex_separator
+from .cuts import ResidualNetwork, _classes_above, _vertex_separation
 from .graph import (
     MULTI,
     EdgeCut,
     InvalidInputError,
     MultiGraph,
     _bits,
+    adjacency,
     bfs,
     connected_components,
     is_connected,
@@ -159,9 +160,10 @@ class WitnessSearchBase:
     λ(u, v) > s: no cut of order <= s separates two vertices of one class,
     every two classes are separated by one, and there is one class exactly
     when no cut of order <= s exists at all.  The rest is the network the
-    decisions run on and a breadth-first spanning tree from vertex 0, with
-    two masks per tree vertex from one reversed pass: ``sub_vertices[v]``
-    holds the vertices below v, vertex u as bit n-1-u (``vbit[u]``), and
+    decisions run on, the node-split network ``witness_to_lean`` separates
+    on, and a breadth-first spanning tree from vertex 0, with two masks per
+    tree vertex from one reversed pass: ``sub_vertices[v]`` holds the
+    vertices below v, vertex u as bit n-1-u (``vbit[u]``), and
     ``sub_classes[v]`` the classes they meet.
     """
 
@@ -170,6 +172,7 @@ class WitnessSearchBase:
             raise InvalidInputError("witness search expects a connected graph")
         self.g, self.s = g, s
         self.net = ResidualNetwork.of(g)
+        self.split = ResidualNetwork.split(g)
         label = _classes_above(g, s, self.net)
         self.bit = [1 << r for r in label]
         self.one_class = len(set(label)) == 1
@@ -269,13 +272,15 @@ def find_breakability_witness(base: WitnessSearchBase, terminals: Iterable[int])
     return None
 
 
-def witness_to_lean(td: TreeDecomposition, t: int, cut: EdgeCut, s: int, g: MultiGraph) -> LeanWitness:
+def witness_to_lean(base: WitnessSearchBase, td: TreeDecomposition, t: int, cut: EdgeCut) -> LeanWitness:
     """Turn a balanced edge cut of a bag into a single-bag lean witness.
 
     Picks the s+1 smallest bag vertices on each cut side as terminals; the
     endpoints of the cut edges separate them, so the minimum vertex
-    separation has order at most s.
+    separation has order at most s.  The graph and s are those of
+    ``base``, whose node-split network the separation runs on.
     """
+    s = base.s
     bag = td.bags[t]
     if len(bag) <= 2 * s + 1:
         raise InvalidInputError("refinement only applies to oversized bags")
@@ -283,7 +288,7 @@ def witness_to_lean(td: TreeDecomposition, t: int, cut: EdgeCut, s: int, g: Mult
     zb = sorted(bag & cut.side_b)[: s + 1]
     if len(za) < s + 1 or len(zb) < s + 1:
         raise InvalidInputError("cut sides hold too few bag vertices")
-    sep = min_vertex_separator(g, za, zb)
+    sep = _vertex_separation(base.split, za, zb)
     assert len(sep.separator) <= s, "edge-cut endpoints bound the separation order"
     return LeanWitness(
         node=t,
@@ -296,13 +301,14 @@ def witness_to_lean(td: TreeDecomposition, t: int, cut: EdgeCut, s: int, g: Mult
     )
 
 
-def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> TreeDecomposition:
+def refine(td: TreeDecomposition, w: LeanWitness, s: int) -> TreeDecomposition:
     """Split the decomposition in two copies along the witness separation.
 
     Copy i keeps bag intersections with side i; separator vertices missing
     from the witness bag are routed along the path toward their closest
-    holder.  The copies join at the witness node, whose adhesion becomes the
-    separator.  The potential strictly decreases; adhesions stay <= s.
+    holder.  Both copies are rooted at the witness node, copy 1's root
+    below copy 0's, and that adhesion becomes the separator.  The potential
+    strictly decreases; adhesions stay <= s.
     """
     if td.max_adhesion() > s:
         raise InvalidInputError("refinement requires adhesions of size at most s")
@@ -317,12 +323,8 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
 
     # Route each separator vertex missing from the witness bag toward its
     # nearest holder, inserting it into bags along the way (endpoint excluded).
-    tree_edges = [(c, p) for c, p in enumerate(td.parent) if p != -1]
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for c, p in tree_edges:
-        adj[c].append(p)
-        adj[p].append(c)
-    order, prev = bfs(adj, q)
+    order, prev = bfs(adjacency(n_nodes, ((c, p) for c, p in enumerate(td.parent) if p != -1)), q)
+    assert -2 not in prev, "decomposition tree is disconnected"
     for x in sorted(w.separator - td.bags[q]):
         goal = next((u for u in order if x in td.bags[u]), -1)
         assert goal != -1, "separator vertex appears in no bag"
@@ -332,9 +334,8 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
             new_bags[n_nodes + node].add(x)
             node = prev[node]
 
-    edges = tree_edges + [(n_nodes + c, n_nodes + p) for c, p in tree_edges] + [(q, n_nodes + q)]
-    refined = _from_edges([frozenset(b) for b in new_bags], edges, root=q)
-    refined = cleanup(refined)
+    parent = prev + [q if p == -1 else n_nodes + p for p in prev]
+    refined = cleanup(TreeDecomposition(tuple(frozenset(b) for b in new_bags), tuple(parent)))
     if potential(refined, s) >= potential(td, s):
         raise AssertionError("refinement must strictly decrease the potential")
     if refined.max_adhesion() > s:
@@ -343,11 +344,10 @@ def refine(td: TreeDecomposition, w: LeanWitness, s: int, g: MultiGraph) -> Tree
 
 
 def _from_edges(bags: Sequence[frozenset[int]], edges: Iterable[tuple[int, int]], root: int) -> TreeDecomposition:
-    adj: list[list[int]] = [[] for _ in bags]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = bfs([sorted(nbrs) for nbrs in adj], root)[1]
+    """The decomposition with these bags whose tree has these edges, rooted
+    at ``root``; a tree's parents toward a root do not depend on the order
+    its edges are scanned."""
+    parent = bfs(adjacency(len(bags), edges), root)[1]
     assert all(p != -2 for p in parent), "decomposition tree is disconnected"
     return TreeDecomposition(tuple(bags), tuple(parent))
 
@@ -507,7 +507,7 @@ def _build_connected(g: MultiGraph, s: int) -> TreeDecomposition:
             cut = find_breakability_witness(base, td.bags[t])
             if cut is None:
                 continue
-            td = refine(td, witness_to_lean(td, t, cut, s, g), s, g)
+            td = refine(td, witness_to_lean(base, td, t, cut), s)
             refined = True
             break
         if not refined:

@@ -24,8 +24,7 @@ partition; traceback reconstruction re-verifies this by recomputing weights.
 
 Each call to ``solve_exact`` or ``exact_values`` builds its own
 decomposition and ``_Engine`` and drops both when it returns; the only
-module-level state is the pure memo tables of ``_label_vectors`` and
-``_scoring``.
+module-level state is the pure memo table of ``_scoring``.
 
 Internally partitions are tuples of integer bitmasks sorted ascending; the
 empty-ground partition is the empty tuple.
@@ -47,9 +46,11 @@ from .graph import (
     Partition,
     _bits,
     _mask,
+    adjacency,
     bfs,
     cut_weight,
     is_connected,
+    set_partitions,
 )
 from .treepack import TreeFamily, enumerate_spanning_trees, pack_trees
 
@@ -77,34 +78,13 @@ def unmask_partition(parts: MaskPartition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _label_vectors(c: int) -> tuple[tuple[int, ...], ...]:
-    """Restricted-growth strings of length c: every grouping of c items once."""
-    out: list[tuple[int, ...]] = []
-    vec = [0] * c
-
-    def rec(i: int, top: int):
-        if i == c:
-            out.append(tuple(vec))
-            return
-        for lab in range(top + 1):
-            vec[i] = lab
-            rec(i + 1, top + (1 if lab == top else 0))
-
-    if c:
-        rec(1, 1)
-    else:
-        out.append(())
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _scoring(c: int, k: int, touch: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """Groupings of c pieces into at most k parts, in ``_label_vectors``
-    order: their label vectors, the flat indices ``a * c + b`` (a < b) of the
-    piece pairs each separates, and their positions grouped by (labels of the
-    ``touch`` pieces, part count), which fixes the projections onto every
-    mask that only the touch pieces meet."""
-    labelings = tuple(lab for lab in _label_vectors(c) if max(lab, default=-1) < k)
+    """Groupings of c pieces into at most k parts, as ``set_partitions(c,
+    k)`` lists them: their label vectors, the flat indices ``a * c + b`` (a
+    < b) of the piece pairs each separates, and their positions grouped by
+    (labels of the ``touch`` pieces, part count), which fixes the
+    projections onto every mask that only the touch pieces meet."""
+    labelings = tuple(set_partitions(c, k))
     pairs = tuple(
         tuple(a * c + b for a in range(c) for b in range(a + 1, c) if lab[a] != lab[b])
         for lab in labelings
@@ -128,11 +108,7 @@ def _merged(pieces: Sequence[int], labels: Sequence[int], nparts: int) -> list[i
 def _rooting(tree: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
     """Breadth-first order from vertex 0 and parent links (-1 at the root)
     of a spanning tree on vertices 0..n-1."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    return bfs(adj, 0)
+    return bfs(adjacency(n, tree), 0)
 
 
 def _projection(
@@ -187,20 +163,24 @@ def _projection(
     return vmask, tuple([e for e, _ in found]), tuple([below for _, below in found])
 
 
-def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> list[int]:
-    """Sorted component masks of a rooted tree after deleting the ``cut``
-    edges.  Each vertex joins the nearest cut edge above it: taking the
-    nested-or-disjoint lower sides smallest first, each keeps what no
-    smaller one took, and the root keeps the rest."""
+def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> MaskPartition:
+    """Sorted nonempty masks of the components of a rooted tree less the
+    ``cut`` edges, cut to ``full``, from the edges' lower sides ``below``
+    cut to ``full`` too.  Each vertex joins the nearest cut edge above it:
+    taking the nested-or-disjoint sides smallest first, each keeps what no
+    smaller one took, and the root keeps the rest.  Cutting keeps the sides
+    nested or disjoint, and two nested sides cut to the same size are
+    equal, so this order yields the same nonempty pieces."""
     comps = []
     taken = 0
     for side in sorted((below[i] for i in cut), key=int.bit_count):
-        comps.append(side & ~taken)
-        taken |= side
-    if full:
+        if side & ~taken:
+            comps.append(side & ~taken)
+            taken |= side
+    if full & ~taken:
         comps.append(full & ~taken)
     comps.sort()
-    return comps
+    return tuple(comps)
 
 
 # -- engine -------------------------------------------------------------------
@@ -359,29 +339,32 @@ class _Engine:
             vmask, edges, below = _projection(order, parent, ctx.bag_mask)
             if (vmask, edges) not in cands.seen_proj:
                 cands.seen_proj.add((vmask, edges))
-                if self._add_projection(ctx, cands, vmask, below):
+                if self._add_projection(ctx, cands, below):
                     self._dirty.add(t)
 
-    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, vmask: int, below: tuple) -> bool:
+    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, below: tuple) -> bool:
         """Take in every maximal guess of crossed edges of one bag
-        projection, min(2k-2, edges) of them, whose components come straight
-        from the edges' lower sides ``below``; True if the candidates
-        improved.  A node's value is monotone under guess enlargement, since
-        finer pieces have every grouping coarser ones have."""
-        m = len(below)
+        projection, min(2k-2, edges) of them, whose pieces on the bag come
+        straight from the edges' lower sides ``below``, each cut to the bag
+        once here; True if the candidates improved.  A node's value is
+        monotone under guess enlargement, since finer pieces have every
+        grouping coarser ones have."""
+        bag = ctx.bag_mask
+        sides = [side & bag for side in below]
+        m = len(sides)
         grew = False
         for guess in combinations(range(m), min(guess_budget(self.k), m)):
-            grew |= self._add_guess(ctx, cands, _cut_components(vmask, below, guess))
+            grew |= self._add_guess(ctx, cands, _cut_components(bag, sides, guess))
         return grew
 
-    def _add_guess(self, ctx: _NodeCtx, cands: _Cands, comps: list[int]) -> bool:
-        """Take in the groupings of one guess's pieces, its components on the
-        bag, into at most k parts, the only ones that can fit a state; True
-        if the candidates improved.  Pieces already taken in change nothing.
-        Each key's first lightest grouping from ``_grouping_minima``
-        replaces the key's candidate only on a strictly smaller weight, so
-        the first lightest in tree, guess and label order stays."""
-        pieces = _proj_masks(comps, ctx.bag_mask)
+    def _add_guess(self, ctx: _NodeCtx, cands: _Cands, pieces: MaskPartition) -> bool:
+        """Take in the groupings of one guess's pieces, its sorted nonempty
+        components on the bag, into at most k parts, the only ones that can
+        fit a state; True if the candidates improved.  Pieces already taken
+        in change nothing.  Each key's first lightest grouping from
+        ``_grouping_minima`` replaces the key's candidate only on a strictly
+        smaller weight, so the first lightest in tree, guess and label order
+        stays."""
         if pieces in cands.seen_pieces:
             return False
         cands.seen_pieces.add(pieces)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Num = int | Fraction
 
@@ -115,11 +115,7 @@ class MultiGraph:
         return sum((w for _, _, w in self.edges), 0)
 
     def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return adjacency(self.n, ((u, v) for u, v, _ in self.edges))
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -259,6 +255,16 @@ def uf_union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
+def adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Adjacency lists of vertices 0..n-1 joined by the undirected ``pairs``,
+    each list in pair order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def bfs(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
     """Breadth-first order from ``root`` over the adjacency lists ``adj``,
     each scanned in its own order, and every vertex's parent: -1 at the
@@ -290,6 +296,27 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def set_partitions(n: int, most: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every partition of n items into ``least`` to ``most`` blocks once, as
+    its restricted-growth string (item i's block label, each label at most
+    one above every label before it), in lexicographic order.  A prefix
+    stops once it has ``most`` labels in use or too few items left to reach
+    ``least``.  n = 0 gives the one empty string."""
+    labels = [0] * n
+
+    def grow(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if n - i < least - used:
+            return
+        if i == n:
+            yield tuple(labels)
+            return
+        for lab in range(min(used + 1, most)):
+            labels[i] = lab
+            yield from grow(i + 1, used + (lab == used))
+
+    return grow(1, 1) if n else iter(((),))
 
 
 def connected_components(g: MultiGraph) -> Partition:

@@ -193,15 +193,15 @@ def solve(g: MultiGraph, k: int, epsilon: Num, seed: int = 0) -> SchemeResult:
 def _exact_sweep(
     h: MultiGraph, comps: Partition, k: int, cap: int, stats_out: dict | None = None
 ) -> tuple[Partition, int] | None:
-    """Exact minimum cuts of every component of h for 1..k parts, with the
-    budget clamped at ``cap``, then the cheapest distribution of k parts
+    """Exact minimum cuts of every component of h for 1..k parts, at
+    budget ``cap``, then the cheapest distribution of k parts
     over the components.  Returns that partition in h's labels with its
     total, or None if none fits the cap."""
     tables: list[dict[int, int]] = []
     witnesses: list[tuple[list[int], list]] = []
     for part in comps.parts:
         sub, labels = h.induced_subgraph(part)
-        vec = exact_values(sub, min(k, sub.n), min(cap, sub.total_weight()), stats_out=stats_out)
+        vec = exact_values(sub, min(k, sub.n), cap, stats_out=stats_out)
         tables.append({j: v for j, (v, _) in enumerate(vec) if v is not None})
         witnesses.append((labels, vec))
     combo = combine_components(tables, k)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import InvalidInputError, MultiGraph, is_connected, uf_find, uf_union
+from .graph import MULTI, InvalidInputError, MultiGraph, is_connected, uf_find, uf_union
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,29 @@ class TreeFamily:
 
 
 def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
-    """Greedy packing: tree i+1 is an MST under per-class usage costs.
+    """Greedy packing of a connected unweighted multigraph: tree i+1 is an
+    MST under per-class usage costs.
 
     The cost of an edge class is its usage count divided by its multiplicity,
     so classes with many parallel copies absorb proportionally more trees.
     Ties break on edge index.  Duplicate trees are dropped.  Costs are
-    compared as exact integers: with L the lcm of the multiplicities (of
-    the numerators p of rational weights p/q), load / mult orders as
-    load * (L // mult), and load / (p/q) as load * q * (L // p).
+    compared as exact integers: with L the lcm of the multiplicities,
+    (load / mult, e) orders as load * (L // mult) * m + e, one int per class
+    that each use raises by (L // mult) * m.
     """
+    if g.mode != MULTI:
+        raise InvalidInputError("tree packing expects an unweighted multigraph")
     if count < 1:
         raise InvalidInputError("tree count must be positive")
     if not is_connected(g) or g.n == 0:
         raise InvalidInputError("tree packing needs a connected graph")
-    loads = [0] * g.m
-    lcm = math.lcm(*(w.numerator for _, _, w in g.edges))
-    scale = [lcm // w.numerator * w.denominator for _, _, w in g.edges]
+    lcm = math.lcm(*(w for _, _, w in g.edges))
+    step = [lcm // w * g.m for _, _, w in g.edges]
+    cost = list(range(g.m))
     seen: set[tuple[int, ...]] = set()
     trees: list[tuple[int, ...]] = []
     for _ in range(count):
-        order = sorted(range(g.m), key=lambda e: (loads[e] * scale[e], e))
+        order = sorted(range(g.m), key=cost.__getitem__)
         parent = list(range(g.n))
         tree = []
         for e in order:
@@ -63,7 +66,7 @@ def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
         assert len(tree) == g.n - 1
         key = tuple(sorted(tree))
         for e in tree:
-            loads[e] += 1
+            cost[e] += step[e]
         if key not in seen:
             seen.add(key)
             trees.append(key)

@@ -38,8 +38,8 @@ def refinements(monkeypatch):
     log = []
     refine = decomposition.refine
 
-    def logged(td, w, s, g):
-        out = refine(td, w, s, g)
+    def logged(td, w, s):
+        out = refine(td, w, s)
         log.append((decomposition.potential(td, s), decomposition.potential(out, s)))
         return out
 

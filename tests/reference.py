@@ -5,8 +5,8 @@ build a tree's projection and feasible family the way the paper states them
 (the engine projects in linear time from a tree rooted once and never builds
 a family); ``is_bag_unbreakable`` checks edge-unbreakability by brute force;
 ``crossings`` counts the tree edges a partition cuts.  The feasible family
-finds a cut tree's components by its own union-find and takes only the
-grouping helpers from ``kcut.dp``.
+finds a cut tree's components by its own union-find and groups them by its
+own enumeration, so it shares no generator with the DP.
 
 ``reference_find_breakability_witness`` is the witness search on frozenset
 members: every member of the family kept and every disjoint pair decided,
@@ -38,8 +38,6 @@ from typing import Iterable, Sequence
 from kcut.cuts import merge_to_k_parts, oracle_exact_kcut, to_integer_multigraph
 from kcut.dp import (
     MaskPartition,
-    _label_vectors,
-    _merged,
     _proj_masks,
     guess_budget,
     unmask_partition,
@@ -138,11 +136,14 @@ def _edge_pairs(pt: ProjectedTree) -> tuple[tuple[int, int], ...]:
 
 
 def _groupings(pieces: Sequence[int]) -> list[MaskPartition]:
-    """All merges of disjoint masks into coarser partitions."""
-    return [
-        tuple(sorted(_merged(pieces, lab, max(lab, default=-1) + 1)))
-        for lab in _label_vectors(len(pieces))
-    ]
+    """All merges of disjoint masks into coarser partitions: each piece in
+    turn joins one of the groups so far or starts its own."""
+    merges: list[list[int]] = [[]]
+    for p in pieces:
+        merges = [
+            m[:i] + [m[i] | p] + m[i + 1 :] for m in merges for i in range(len(m))
+        ] + [m + [p] for m in merges]
+    return [tuple(sorted(m)) for m in merges]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -191,6 +192,14 @@ class TestRunModes:
         assert out == ""
         assert "error: stripping stage failed: synthetic failure" in err.splitlines()
 
+    def test_exact_packed_trees_weighted_exit2(self, tmp_path, capsys):
+        # Zero weights once divided the packer's costs by zero.
+        path = write(tmp_path, "zero.g", "p 3 2 weighted\n0 1 0\n1 2 0\n")
+        argv = ["run", "--input", path, "--k", "2", "--mode", "exact", "--s", "1", "--trees", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out
+        assert err == "error: tree packing expects an unweighted multigraph\n"
+
     def test_oracle_too_large_exit3(self, tmp_path, capsys):
         big = "p 15 14 multi\n" + "\n".join(f"{i} {i+1} 1" for i in range(14)) + "\n"
         path = write(tmp_path, "big.g", big)
@@ -276,6 +285,28 @@ class TestGenerate:
         from kcut.graph import cc, read_graph
 
         assert cc(read_graph(out)) >= 3
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "--gen planted --n 20 --k 3 --m 60 --cross 3 --seed 1",
+                "0200923e1ced29bc9df5b05112d57cf6488d37e4581982442f7b2aebca8eb49a",
+            ),
+            (
+                "--gen random --n 14 --m 280 --seed 4",
+                "e43b9974a75fd9f597c5b79fae33d89c25ef847575422e348672348ed48c9932",
+            ),
+            (
+                "--gen planted --n 9 --k 4 --m 10 --cross 7 --seed 3",
+                "b5650e3a21b2a682bd41a8ee69de73fae848f75c097cd68cfafbddccc54cee19",
+            ),
+        ],
+    )
+    def test_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(["generate"] + argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_incompatible_params_exit2(self, capsys):
         code, _, _ = run_cli(["generate", "--gen", "random", "--n", "1", "--m", "3"], capsys)

@@ -128,9 +128,10 @@ class TestWitnessToLean:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
         td = TreeDecomposition((frozenset(range(6)),), (-1,))
-        cut = find_breakability_witness(WitnessSearchBase(g, s), range(6))
+        base = WitnessSearchBase(g, s)
+        cut = find_breakability_witness(base, range(6))
         assert cut is not None
-        lean = witness_to_lean(td, 0, cut, s, g)
+        lean = witness_to_lean(base, td, 0, cut)
         assert len(lean.separator) <= s
         assert len(lean.z1) == len(lean.z2) == s + 1
 
@@ -152,10 +153,11 @@ class TestRefine:
         g = path(8)
         s = 1
         td = TreeDecomposition((frozenset(range(8)),), (-1,))
-        cut = find_breakability_witness(WitnessSearchBase(g, s), range(8))
-        lean = witness_to_lean(td, 0, cut, s, g)
+        base = WitnessSearchBase(g, s)
+        cut = find_breakability_witness(base, range(8))
+        lean = witness_to_lean(base, td, 0, cut)
         before = potential(td, s)
-        td2 = refine(td, lean, s, g)
+        td2 = refine(td, lean, s)
         assert potential(td2, s) < before
         validate_decomposition(td2, g)
         assert td2.max_adhesion() <= s
@@ -169,11 +171,12 @@ class TestRefine:
             td = TreeDecomposition((frozenset(range(g.n)),), (-1,))
             if len(td.bags[0]) <= 2 * s + 1:
                 continue
-            cut = find_breakability_witness(WitnessSearchBase(g, s), td.bags[0])
+            base = WitnessSearchBase(g, s)
+            cut = find_breakability_witness(base, td.bags[0])
             if cut is None:
                 continue
-            lean = witness_to_lean(td, 0, cut, s, g)
-            td2 = refine(td, lean, s, g)
+            lean = witness_to_lean(base, td, 0, cut)
+            td2 = refine(td, lean, s)
             validate_decomposition(td2, g)
             assert td2.max_adhesion() <= s
             assert potential(td2, s) < potential(td, s)
@@ -394,8 +397,9 @@ class TestWitnessSearchWork:
         td = build_unbreakable_decomposition(g, 1)
         validate_decomposition(td, g)
         assert td.max_adhesion() <= 1
-        # One vertex-separator network per refinement, none per searched pair.
-        assert len(built) == len(refinements) > 0
+        # One vertex-split network for the one component, shared by every
+        # refinement, and none per searched pair.
+        assert len(built) == 1 and len(refinements) > 1
         for before, after in refinements:
             assert after < before
 

@@ -25,6 +25,7 @@ from reference import (
     ProjEdge,
     ProjectedTree,
     _edge_pairs,
+    _forest_components,
     _groupings,
     class_quotient_kcut,
     classes_above,
@@ -98,9 +99,9 @@ def cut_guess_value(g, td, tree, t, key, cprime, child_tables, s, k):
     the right guess."""
     engine = _prepared_engine(g, td, k, s, child_tables)
     ctx = engine.ctxs[t]
-    vmask, _, below = _projection(*_rooting(tree, g.n), ctx.bag_mask)
-    comps = _cut_components(vmask, below, set(cprime))
-    engine._add_guess(ctx, engine.cands[t], comps)
+    _, _, below = _projection(*_rooting(tree, g.n), ctx.bag_mask)
+    pieces = _cut_components(ctx.bag_mask, [side & ctx.bag_mask for side in below], set(cprime))
+    engine._add_guess(ctx, engine.cands[t], pieces)
     return _state_value(engine, t, key)
 
 
@@ -193,6 +194,35 @@ class TestProjectionKey:
             for i, side in enumerate(below):
                 assert side in _sides_without(pt.vertices, edges, i), (tree, x, edges[i])
                 assert all(side & other in (0, side, other) for other in below), (tree, x)
+
+    def test_guess_pieces_are_bag_components(self):
+        # Every guess's pieces, cut to the bag from the lower sides once per
+        # projection, are the components of the projection less the guess's
+        # edges, restricted to the bag, with empty pieces dropped.
+        rng = random.Random(17)
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            tree = [(rng.randrange(v), v) for v in range(1, n)]
+            rng.shuffle(tree)
+            tree = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree]
+            x = rng.sample(range(n), rng.randint(1, n))
+            bag = _mask(x)
+            engine = _Engine(MultiGraph.multi(n, tree), TreeDecomposition((frozenset(x),), (-1,)), 2, n)
+            got = []
+
+            def record(ctx, cands, pieces):
+                got.append(pieces)
+                return False
+
+            engine._add_guess = record
+            engine.add_tree(tree)
+            vmask, edges, _ = _projection(*_rooting(tree, n), bag)
+            budget = min(2, len(edges))
+            want = [
+                tuple(sorted(c & bag for c in _forest_components(vmask, edges, guess) if c & bag))
+                for guess in itertools.combinations(range(len(edges)), budget)
+            ]
+            assert got == want, (tree, x)
 
 
 def _sides_without(vertices, edges, i):

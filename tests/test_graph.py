@@ -16,6 +16,7 @@ from kcut.graph import (
     cut_weight,
     read_graph,
     round_to_multigraph,
+    set_partitions,
     write_graph,
 )
 from reference import reference_canonical_edges, reference_read_graph
@@ -197,6 +198,26 @@ class TestBfs:
         order, parent = bfs(adj, 2)
         assert order == [2, 5, 0, 1, 6, 3]
         assert parent == [2, 2, -1, 0, -2, 2, 5]
+
+
+class TestSetPartitions:
+    def test_matches_brute_force(self):
+        # Label strings in lexicographic order, kept when the first label is
+        # 0, each later one is at most one above every label before it, and
+        # the block count is in bounds.
+        for n in range(1, 9):
+            growth = [
+                lab
+                for lab in itertools.product(range(5), repeat=n)
+                if lab[0] == 0 and all(b <= a + 1 for a, b in zip(itertools.accumulate(lab, max), lab[1:]))
+            ]
+            for most in range(1, 6):
+                for least in range(1, most + 1):
+                    want = [lab for lab in growth if least <= max(lab) + 1 <= most]
+                    assert list(set_partitions(n, most, least)) == want, (n, most, least)
+
+    def test_empty(self):
+        assert list(set_partitions(0, 3)) == [()]
 
 
 class TestRounding:

@@ -69,6 +69,12 @@ class TestPackTrees:
         with pytest.raises(InvalidInputError):
             pack_trees(g, 2)
 
+    @pytest.mark.parametrize("weights", [(0, 0), (1, 2)])
+    def test_weighted_rejected(self, weights):
+        g = MultiGraph.weighted(3, [(0, 1, weights[0]), (1, 2, weights[1])])
+        with pytest.raises(InvalidInputError, match="unweighted multigraph"):
+            pack_trees(g, 2)
+
 
 class TestEnumeration:
     def test_cycle_count(self):
@@ -179,10 +185,3 @@ class TestIntegerCosts:
             g = MultiGraph.multi(n, [(u, v, rng.randint(1, 6)) for u, v in edges])
             fam = pack_trees(g, 40)
             assert fam.trees == fraction_keyed_pack(g, 40)
-
-    def test_rational_weights(self):
-        from fractions import Fraction
-
-        g = MultiGraph.weighted(4, [(0, 1, Fraction(3, 2)), (1, 2, Fraction(2, 3)), (0, 2, 1), (2, 3, 5)])
-        fam = pack_trees(g, 12)
-        assert fam.trees == fraction_keyed_pack(g, 12)
