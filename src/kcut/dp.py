@@ -9,9 +9,9 @@ projection gives its edges, restricted to the bag) into at most k parts,
 and composes the node's children with each grouping through one knapsack.
 Every grouping is scored from one piece-pair weight matrix, and every node
 keeps only the lightest grouping per (adhesion projection, part count,
-child adhesion projections).  Bags of every size and nodes with or
-without children take this one path (``_Engine`` explains why it is
-exact).
+child adhesion projections), as one (weight, parts) entry of its ``_Node``
+record.  Bags of every size and nodes with or without children take this
+one path (``_Engine`` explains why it is exact).
 
 One DP serves the whole tree family: each node's candidates are the union
 over the family's trees, built once per distinct projection of a tree onto
@@ -22,9 +22,10 @@ batch changed, so it can stop at the first batch that yields a cut within
 budget.  Every finite table entry corresponds to an actually constructible
 partition; traceback reconstruction re-verifies this by recomputing weights.
 
-Each call to ``solve_exact`` or ``exact_values`` builds its own
-decomposition and ``_Engine`` and drops both when it returns; the only
-module-level state is the pure memo table of ``_scoring``.
+Each call to ``solve_exact`` or ``exact_values`` gets its tree family
+(``treepack`` picks the default one), decomposition and ``_Engine`` from
+``_setup`` and drops them when it returns; the only module-level state is
+the pure memo table of ``_scoring``.
 
 Internally partitions are tuples of integer bitmasks sorted ascending; the
 empty-ground partition is the empty tuple.
@@ -32,8 +33,7 @@ empty-ground partition is the empty tuple.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -52,9 +52,7 @@ from .graph import (
     is_connected,
     set_partitions,
 )
-from .treepack import TreeFamily, enumerate_spanning_trees, pack_trees
-
-DEFAULT_TREE_CAP = 5000
+from .treepack import TreeFamily, _tree_family
 
 
 def guess_budget(k: int) -> int:
@@ -186,53 +184,42 @@ def _cut_components(full: int, below: Sequence[int], cut: Iterable[int]) -> Mask
 # -- engine -------------------------------------------------------------------
 
 
-class _Coarse:
-    """One candidate partition of a bag, with cached bookkeeping."""
+@dataclass(slots=True, eq=False)
+class _Node:
+    """One decomposition node: its bag, adhesion, interface (the adhesion
+    and every child adhesion) and gamma masks, its children and their
+    adhesion masks in order, and the graph's edges inside its bag; then its
+    candidates over the family trees taken in so far, and its value table
+    (None until first evaluated).
 
-    __slots__ = ("parts", "nparts", "w_base", "child_items")
-
-    def __init__(self, parts, nparts, w_base, child_items):
-        self.parts = parts
-        self.nparts = nparts
-        self.w_base = w_base
-        self.child_items = child_items
-
-
-@dataclass
-class _NodeCtx:
-    bag_mask: int
-    adh_mask: int
-    iface_mask: int  # the adhesion and every child adhesion
-    gamma_mask: int
-    children: list[int]
-    child_masks: tuple[int, ...]  # the children's adhesions, in order
-    bag_edges: list[tuple[int, int, int]]
-
-
-class _Cands:
-    """One node's candidates, the union over the trees taken in so far.
-
-    ``by_at`` maps each adhesion projection to one ``_Coarse`` per (part
-    count, child adhesion projections): the first lightest grouping with
-    that key in tree, guess and label order; nothing else can matter
-    (``_Engine`` says why).  A strictly lighter grouping replaces its key's
-    candidate and moves it to the end, so each dict lists its candidates in
+    ``by_at`` maps each adhesion projection to one ``(weight, parts)`` entry
+    per (part count, child adhesion projections): the first lightest
+    grouping with that key in tree, guess and label order; nothing else can
+    matter (``_Engine`` says why).  A strictly lighter grouping replaces its
+    key's entry and moves it to the end, so each dict lists its entries in
     the order they were found.  The bag projections and the guesses' pieces
-    already taken in make each of them built once per node."""
+    already taken in (``seen_proj``, ``seen_pieces``) make each of them
+    built once per node."""
 
-    __slots__ = ("by_at", "seen_proj", "seen_pieces")
-
-    def __init__(self):
-        self.by_at: dict[MaskPartition, dict[tuple, _Coarse]] = {}
-        self.seen_proj: set[tuple] = set()
-        self.seen_pieces: set[MaskPartition] = set()
+    bag: int
+    adh: int
+    iface: int
+    gamma: int
+    children: list[int]
+    child_masks: tuple[int, ...]
+    edges: list[tuple[int, int, int]]
+    by_at: dict[MaskPartition, dict[tuple, tuple[int, MaskPartition]]] = field(default_factory=dict)
+    seen_proj: set[tuple] = field(default_factory=set)
+    seen_pieces: set[MaskPartition] = field(default_factory=set)
+    table: dict[tuple[MaskPartition, int], tuple[int, object]] | None = None
 
 
 class _Engine:
-    """The DP state of one call: node contexts, each node's candidates over
-    the family trees taken in so far, the budget-clamped value tables, and
-    memoized crossing weights.  Built for one graph, decomposition, k and
-    budget s, and dropped when the call returns.
+    """The DP state of one call: one ``_Node`` per decomposition node, each
+    with its candidates over the family trees taken in so far and its
+    budget-clamped value table, and memoized crossing weights.  Built for
+    one graph, decomposition, k and budget s, and dropped when the call
+    returns.
 
     ``add_tree`` takes one tree into every node's candidates, building them
     once per distinct projection of the tree onto the bag.  ``evaluate``
@@ -271,29 +258,25 @@ class _Engine:
         self.td = td
         self.k = k
         self.s = s
-        self.ctxs: dict[int, _NodeCtx] = {}
-        self.cands: dict[int, _Cands] = {}
-        self.tables: dict[int, dict[tuple[MaskPartition, int], tuple[int, object]]] = {}
         self.states = 0
         self._dirty: set[int] = set()
         self._wmemo: dict[MaskPartition, int] = {}
         kids = td.children_map()
         self._order = bfs(kids, td.root)[0]
         gammas = td.gammas()
+        self.nodes: list[_Node] = []
         for t in range(len(td)):
             bag = td.bags[t]
-            children = kids[t]
-            adh_mask = _mask(td.adhesion(t))
-            self.ctxs[t] = _NodeCtx(
-                bag_mask=_mask(bag),
-                adh_mask=adh_mask,
-                iface_mask=adh_mask | _mask(v for c in children for v in td.adhesion(c)),
-                gamma_mask=_mask(gammas[t]),
-                children=children,
-                child_masks=tuple(_mask(td.adhesion(c)) for c in children),
-                bag_edges=[(u, v, w) for u, v, w in g.edges if u in bag and v in bag],
-            )
-            self.cands[t] = _Cands()
+            adh = _mask(td.adhesion(t))
+            self.nodes.append(_Node(
+                bag=_mask(bag),
+                adh=adh,
+                iface=adh | _mask(v for c in kids[t] for v in td.adhesion(c)),
+                gamma=_mask(gammas[t]),
+                children=kids[t],
+                child_masks=tuple(_mask(td.adhesion(c)) for c in kids[t]),
+                edges=[(u, v, w) for u, v, w in g.edges if u in bag and v in bag],
+            ))
 
     def crossing_weight(self, parts: MaskPartition, edges: Sequence[tuple[int, int, int]] | None = None) -> int:
         """Crossing weight of a mask partition within the induced subgraph
@@ -317,104 +300,84 @@ class _Engine:
         self._wmemo[parts] = total
         return total
 
-    def _make_coarse(self, ctx: _NodeCtx, parts: MaskPartition, w_base: int, child_projs: tuple) -> _Coarse:
-        """A ``_Coarse`` of parts of the bag weighing w_base, whose
-        projections onto the child adhesions are ``child_projs``."""
-        items = ()
-        if child_projs:
-            items = tuple([
-                (c, ckey, len(ckey), self.crossing_weight(ckey, ctx.bag_edges))
-                for c, ckey in zip(ctx.children, child_projs)
-            ])
-        return _Coarse(parts, len(parts), w_base, items)
-
     # .. taking trees in ..
 
     def add_tree(self, tree: Sequence[tuple[int, int]]) -> None:
         """Take one family tree into every node's candidates; nodes whose
         candidates improve are evaluated next time."""
         order, parent = _rooting(tree, self.g.n)
-        for t, ctx in self.ctxs.items():
-            cands = self.cands[t]
-            vmask, edges, below = _projection(order, parent, ctx.bag_mask)
-            if (vmask, edges) not in cands.seen_proj:
-                cands.seen_proj.add((vmask, edges))
-                if self._add_projection(ctx, cands, below):
+        for t, node in enumerate(self.nodes):
+            vmask, edges, below = _projection(order, parent, node.bag)
+            if (vmask, edges) not in node.seen_proj:
+                node.seen_proj.add((vmask, edges))
+                if self._add_projection(node, below):
                     self._dirty.add(t)
 
-    def _add_projection(self, ctx: _NodeCtx, cands: _Cands, below: tuple) -> bool:
+    def _add_projection(self, node: _Node, below: tuple) -> bool:
         """Take in every maximal guess of crossed edges of one bag
         projection, min(2k-2, edges) of them, whose pieces on the bag come
         straight from the edges' lower sides ``below``, each cut to the bag
         once here; True if the candidates improved.  A node's value is
         monotone under guess enlargement, since finer pieces have every
         grouping coarser ones have."""
-        bag = ctx.bag_mask
+        bag = node.bag
         sides = [side & bag for side in below]
         m = len(sides)
         grew = False
         for guess in combinations(range(m), min(guess_budget(self.k), m)):
-            grew |= self._add_guess(ctx, cands, _cut_components(bag, sides, guess))
+            grew |= self._add_guess(node, _cut_components(bag, sides, guess))
         return grew
 
-    def _add_guess(self, ctx: _NodeCtx, cands: _Cands, pieces: MaskPartition) -> bool:
+    def _add_guess(self, node: _Node, pieces: MaskPartition) -> bool:
         """Take in the groupings of one guess's pieces, its sorted nonempty
         components on the bag, into at most k parts, the only ones that can
         fit a state; True if the candidates improved.  Pieces already taken
-        in change nothing.  Each key's first lightest grouping from
-        ``_grouping_minima`` replaces the key's candidate only on a strictly
-        smaller weight, so the first lightest in tree, guess and label order
-        stays."""
-        if pieces in cands.seen_pieces:
-            return False
-        cands.seen_pieces.add(pieces)
-        grew = False
-        for at, key, w, parts in self._grouping_minima(ctx, pieces):
-            group = cands.by_at.get(at)
-            if group is None:
-                group = cands.by_at[at] = {}
-            cur = group.get(key)
-            if cur is None or w < cur.w_base:
-                if cur is not None:
-                    del group[key]
-                group[key] = self._make_coarse(ctx, parts, w, key[1])
-                grew = True
-        return grew
+        in change nothing.
 
-    def _grouping_minima(self, ctx: _NodeCtx, pieces: MaskPartition) -> list:
-        """Per (adhesion projection, part count <= k, child adhesion
-        projections) key, the first lightest grouping of a bag's pieces in
-        label order, as (adhesion projection, (part count, child adhesion
-        projections), weight, parts), listed in label order.  The labels of
-        the pieces that meet an adhesion fix the key.  One pass over the
-        bag's edges gives the weight between every two pieces; a grouping's
-        crossing weight is the sum over the piece pairs it separates."""
+        The labels of the pieces that meet the interface fix a grouping's
+        (adhesion projection, (part count, child adhesion projections))
+        key.  One pass over the bag's edges gives the weight between every
+        two pieces; a grouping's crossing weight is the sum over the piece
+        pairs it separates.  Each key's first lightest grouping in label
+        order then replaces the key's entry, in label order, only on a
+        strictly smaller weight, so the first lightest in tree, guess and
+        label order stays; its parts are built only then."""
+        if pieces in node.seen_pieces:
+            return False
+        node.seen_pieces.add(pieces)
         c = len(pieces)
-        iface = ctx.iface_mask
-        touch = tuple([i for i, p in enumerate(pieces) if p & iface])
+        touch = tuple([i for i, p in enumerate(pieces) if p & node.iface])
         labelings, pairs, groups = _scoring(c, self.k, touch)
         owner = {v: i for i, p in enumerate(pieces) for v in _bits(p)}
         between = [0] * (c * c)
-        for u, v, w in ctx.bag_edges:
+        for u, v, w in node.edges:
             a, b = owner[u], owner[v]
             if a != b:
                 between[a * c + b if a < b else b * c + a] += w
         weights = [sum(map(between.__getitem__, ab)) for ab in pairs]
         touched = [pieces[j] for j in touch]
-        adh, child_masks = ctx.adh_mask, ctx.child_masks
-        found: dict[tuple, tuple[int, int]] = {}
+        adh, child_masks = node.adh, node.child_masks
+        best: dict[tuple, tuple[int, int]] = {}
         for (pattern, nparts), idx in groups:
             i = min(idx, key=weights.__getitem__)
             merged = _merged(touched, pattern, nparts)
             cprojs = tuple([_proj_masks(merged, m) for m in child_masks]) if child_masks else ()
-            key = (_proj_masks(merged, adh), nparts, cprojs)
-            got = found.get(key)
+            key = (_proj_masks(merged, adh), (nparts, cprojs))
+            got = best.get(key)
             if got is None or (weights[i], i) < got:
-                found[key] = (weights[i], i)
-        return [
-            (key[0], key[1:], w, tuple(sorted(_merged(pieces, labelings[i], key[1]))))
-            for i, w, key in sorted([(i, w, key) for key, (w, i) in found.items()])
-        ]
+                best[key] = (weights[i], i)
+        grew = False
+        for (at, sub), (w, i) in sorted(best.items(), key=lambda item: item[1][1]):
+            group = node.by_at.get(at)
+            if group is None:
+                group = node.by_at[at] = {}
+            cur = group.get(sub)
+            if cur is None or w < cur[0]:
+                if cur is not None:
+                    del group[sub]
+                group[sub] = (w, tuple(sorted(_merged(pieces, labelings[i], sub[0]))))
+                grew = True
+        return grew
 
     # .. evaluation ..
 
@@ -427,30 +390,33 @@ class _Engine:
         the same nodes to the same tables."""
         changed: set[int] = set()
         for t in reversed(self._order):
-            if t in self._dirty or any(c in changed for c in self.ctxs[t].children):
-                old = self.tables.get(t)
-                self._solve_node(t)
-                if old is None or _values(old) != _values(self.tables[t]):
+            node = self.nodes[t]
+            if t in self._dirty or any(c in changed for c in node.children):
+                old = node.table
+                self._solve_node(node)
+                if old is None or _values(old) != _values(node.table):
                     changed.add(t)
         self._dirty.clear()
 
-    def _solve_node(self, t: int) -> None:
+    def _solve_node(self, node: _Node) -> None:
         """The node's table: per (adhesion projection, part count) state,
         the value within the budget, with its trace, of the first lightest
         candidate carrying that projection once a knapsack over the children
         adds the (child, adhesion projection, part count) entries it picks.
         One knapsack per candidate fills every part count; a childless
-        node's candidates are their own values."""
+        node's candidates are their own values.  The trace holds the
+        candidate's parts and the picked entries."""
         k, s = self.k, self.s
         table: dict[tuple[MaskPartition, int], tuple[int, object]] = {}
-        by_at = self.cands[t].by_at
-        for pa, group in by_at.items():
-            for co in group.values():
-                if co.w_base > s:
+        for pa, group in node.by_at.items():
+            for (nparts, cprojs), (w, parts) in group.items():
+                if w > s:
                     continue
-                nu: dict[int, tuple[int, tuple]] = {co.nparts: (co.w_base, ())}
-                for child, ckey, b, w_adh in co.child_items:
-                    ctab = self.tables[child]
+                nu: dict[int, tuple[int, tuple]] = {nparts: (w, ())}
+                for child, ckey in zip(node.children, cprojs):
+                    ctab = self.nodes[child].table
+                    b = len(ckey)
+                    w_adh = self.crossing_weight(ckey, node.edges)
                     nu2: dict[int, tuple[int, tuple]] = {}
                     for r0, (v0, tr0) in nu.items():
                         for ic in range(b, k + 1):
@@ -472,19 +438,19 @@ class _Engine:
                 for i, (v, trace) in nu.items():
                     cur = table.get((pa, i))
                     if cur is None or v < cur[0]:
-                        table[(pa, i)] = (v, (co, trace))
-        self.states += len(by_at) * k
-        self.tables[t] = table
+                        table[(pa, i)] = (v, (parts, trace))
+        self.states += len(node.by_at) * k
+        node.table = table
 
     # .. traceback ..
 
     def reconstruct(self, t: int, pa: MaskPartition, i: int) -> MaskPartition:
         """Rebuild the witnessing partition of gamma(t); verifies itself."""
-        ctx = self.ctxs[t]
-        value, (co, child_choices) = self.tables[t][(pa, i)]
-        parts = list(co.parts)
+        node = self.nodes[t]
+        value, (parts, child_choices) = node.table[(pa, i)]
+        parts = list(parts)
         # The knapsack picks one entry per child, in ``children`` order.
-        for amask, (child, ckey, ic) in zip(ctx.child_masks, child_choices):
+        for amask, (child, ckey, ic) in zip(node.child_masks, child_choices):
             sub = self.reconstruct(child, ckey, ic)
             for cp in sub:
                 tr = cp & amask
@@ -501,9 +467,9 @@ class _Engine:
         for q in parts:
             assert total & q == 0, "reconstructed parts overlap"
             total |= q
-        assert total == ctx.gamma_mask, "reconstructed partition misses vertices"
+        assert total == node.gamma, "reconstructed partition misses vertices"
         assert len(parts) == i
-        assert _proj_masks(parts, ctx.adh_mask) == pa
+        assert _proj_masks(parts, node.adh) == pa
         w = self.crossing_weight(tuple(sorted(parts)))
         assert w == value, f"traceback weight {w} != table value {value}"
         return tuple(sorted(parts))
@@ -525,43 +491,6 @@ class ExactResult:
     dp_states: int
 
 
-def _spanning_tree_count(g: MultiGraph) -> int:
-    """The number of spanning trees ``enumerate_spanning_trees`` lists, one
-    unit per edge class: Kirchhoff's determinant of the Laplacian with the
-    last row and column removed, by fraction-free (Bareiss) elimination.
-    The matrix is positive semidefinite, so a zero pivot means a zero
-    determinant (g is disconnected)."""
-    lap = [[0] * g.n for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    size = g.n - 1
-    prev = 1
-    for i in range(size):
-        piv = lap[i][i]
-        if piv == 0:
-            return 0
-        for r in range(i + 1, size):
-            row, f = lap[r], lap[r][i]
-            for c in range(i + 1, size):
-                row[c] = (row[c] * piv - f * lap[i][c]) // prev
-        prev = piv
-    return prev
-
-
-def _tree_family(g: MultiGraph, k: int) -> TreeFamily:
-    """Every spanning tree when there are at most ``DEFAULT_TREE_CAP`` of
-    them on at most 10 vertices, else a packing.  A truncated enumeration
-    would share its lowest-indexed edges across all its trees and can miss
-    every tree that crosses an optimum at most 2k-2 times."""
-    if g.n <= 10 and _spanning_tree_count(g) <= DEFAULT_TREE_CAP:
-        return enumerate_spanning_trees(g, cap=DEFAULT_TREE_CAP)
-    count = min(200, max(1, math.ceil(k**3 * math.log(g.m + 2))))
-    return pack_trees(g, count)
-
-
 def _check_exact_inputs(g: MultiGraph, k: int, s: int) -> None:
     if g.mode != MULTI:
         raise InvalidInputError("the exact solver expects an unweighted multigraph")
@@ -571,6 +500,16 @@ def _check_exact_inputs(g: MultiGraph, k: int, s: int) -> None:
         raise InvalidInputError("the cut budget must be nonnegative")
     if not is_connected(g):
         raise InvalidInputError("the exact solver expects a connected graph")
+
+
+def _setup(g: MultiGraph, k: int, s: int, trees: TreeFamily | None = None) -> tuple[TreeFamily, _Engine]:
+    """The tree family (g's default when ``trees`` is None) and a fresh
+    engine over g's decomposition at budget s, for inputs already checked."""
+    if trees is None:
+        trees = _tree_family(g, k)
+    elif trees.graph != g:
+        raise InvalidInputError("the tree family belongs to another graph")
+    return trees, _Engine(g, build_unbreakable_decomposition(g, s), k, s)
 
 
 def solve_exact(
@@ -585,6 +524,7 @@ def solve_exact(
     Takes the family's trees into one DP in batches of 1, 2, 4, ... trees,
     re-evaluating after each batch only the nodes it changed, and stops
     after the first batch whose root holds a cut of weight at most s.
+    ``trees``, when given, must be a family of g's own spanning trees.
     ``trees_tried`` counts the trees taken in by then (the whole family on a
     ``no``), ``dp_states`` every (node, adhesion projection, part count)
     state evaluated on the way.  A ``yes`` in construct mode carries a
@@ -593,9 +533,8 @@ def solve_exact(
     _check_exact_inputs(g, k, s)
     if mode not in ("decide", "construct"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    fam = _tree_family(g, k) if trees is None else trees
-    td = build_unbreakable_decomposition(g, s)
-    engine = _Engine(g, td, k, s)
+    fam, engine = _setup(g, k, s, trees)
+    root = engine.td.root
     used = 0
     while used < len(fam):
         upto = min(2 * used + 1, len(fam))
@@ -603,9 +542,9 @@ def solve_exact(
             engine.add_tree(fam.tree_edges(ti))
         used = upto
         engine.evaluate()
-        ent = engine.tables[td.root].get(((), k))
+        ent = engine.nodes[root].table.get(((), k))
         if ent is not None and ent[0] <= s:
-            masks = engine.reconstruct(td.root, (), k)
+            masks = engine.reconstruct(root, (), k)
             partition = unmask_partition(masks) if mode == "construct" else None
             if partition is not None:
                 assert cut_weight(g, partition) == ent[0]
@@ -631,20 +570,19 @@ def exact_values(
     """
     kmax = min(kmax, g.n)
     _check_exact_inputs(g, kmax, s_cap)
-    fam = _tree_family(g, kmax)
-    td = build_unbreakable_decomposition(g, s_cap)
-    engine = _Engine(g, td, kmax, s_cap)
+    fam, engine = _setup(g, kmax, s_cap)
     for ti in range(len(fam)):
         engine.add_tree(fam.tree_edges(ti))
     engine.evaluate()
-    root = engine.tables[td.root]
+    root = engine.td.root
+    table = engine.nodes[root].table
     best: list[tuple[int | None, Partition | None]] = [(None, None)]
     for i in range(1, kmax + 1):
-        ent = root.get(((), i))
+        ent = table.get(((), i))
         if ent is None:
             best.append((None, None))
             continue
-        best.append((ent[0], unmask_partition(engine.reconstruct(td.root, (), i))))
+        best.append((ent[0], unmask_partition(engine.reconstruct(root, (), i))))
     if stats_out is not None:
         stats_out["trees"] = stats_out.get("trees", 0) + len(fam)
         stats_out["states"] = stats_out.get("states", 0) + engine.states

@@ -1,4 +1,5 @@
-"""Spanning tree families for the exact solver.
+"""Spanning tree families for the exact solver, and the policy that picks
+one.
 
 The solver only needs one family member that crosses some optimal k-cut at
 most 2k-2 times.  Such a tree always exists among all spanning trees (take
@@ -6,7 +7,9 @@ spanning forests inside the optimal parts plus k-1 connecting edges), so the
 exhaustive enumerator below is a complete, if brute-force, supplier.  The
 greedy load-balancing packer is the scalable stand-in: each new tree is a
 minimum spanning tree under costs that grow with prior usage, spreading the
-family across the edge set.
+family across the edge set.  ``_tree_family`` is the default family the
+exact solver uses when it is given none: every tree of a small graph whose
+Kirchhoff count fits ``DEFAULT_TREE_CAP``, else a packing.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .graph import MULTI, InvalidInputError, MultiGraph, is_connected, uf_find, uf_union
+
+DEFAULT_TREE_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ def pack_trees(g: MultiGraph, count: int) -> TreeFamily:
     return TreeFamily(g, tuple(trees))
 
 
-def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
+def enumerate_spanning_trees(g: MultiGraph, cap: int = DEFAULT_TREE_CAP) -> TreeFamily:
     """All spanning trees up to ``cap``, as edge-class index tuples.
 
     Classic include/exclude backtracking over the class list with a
@@ -115,3 +120,39 @@ def enumerate_spanning_trees(g: MultiGraph, cap: int = 5000) -> TreeFamily:
             stack.append((e + 1, child, chosen + (e,)))
     return TreeFamily(g, tuple(found))
 
+
+def _spanning_tree_count(g: MultiGraph) -> int:
+    """The number of spanning trees ``enumerate_spanning_trees`` lists, one
+    unit per edge class: Kirchhoff's determinant of the Laplacian with the
+    last row and column removed, by fraction-free (Bareiss) elimination.
+    The matrix is positive semidefinite, so a zero pivot means a zero
+    determinant (g is disconnected)."""
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    size = g.n - 1
+    prev = 1
+    for i in range(size):
+        piv = lap[i][i]
+        if piv == 0:
+            return 0
+        for r in range(i + 1, size):
+            row, f = lap[r], lap[r][i]
+            for c in range(i + 1, size):
+                row[c] = (row[c] * piv - f * lap[i][c]) // prev
+        prev = piv
+    return prev
+
+
+def _tree_family(g: MultiGraph, k: int) -> TreeFamily:
+    """Every spanning tree when there are at most ``DEFAULT_TREE_CAP`` of
+    them on at most 10 vertices, else a packing.  A truncated enumeration
+    would share its lowest-indexed edges across all its trees and can miss
+    every tree that crosses an optimum at most 2k-2 times."""
+    if g.n <= 10 and _spanning_tree_count(g) <= DEFAULT_TREE_CAP:
+        return enumerate_spanning_trees(g, cap=DEFAULT_TREE_CAP)
+    count = min(200, max(1, math.ceil(k**3 * math.log(g.m + 2))))
+    return pack_trees(g, count)

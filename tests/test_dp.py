@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import kcut.dp as dp_module
 from kcut.cuts import global_min_2cut, oracle_exact_kcut
 from kcut.decomposition import TreeDecomposition, build_unbreakable_decomposition
 from kcut.dp import (
@@ -18,7 +17,7 @@ from kcut.dp import (
     solve_exact,
 )
 from kcut.graph import InvalidInputError, MultiGraph, _mask, cut_weight
-from kcut.treepack import enumerate_spanning_trees, pack_trees
+from kcut.treepack import _spanning_tree_count, _tree_family, enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
 from reference import (
@@ -72,13 +71,13 @@ def _prepared_engine(g, td, k, s, child_tables):
     """An engine whose children's tables are given as {(partition, i): value}."""
     engine = _Engine(g, td, k, s)
     for c, tab in child_tables.items():
-        engine.tables[c] = {(mask_partition(p), i): (v, None) for (p, i), v in tab.items()}
+        engine.nodes[c].table = {(mask_partition(p), i): (v, None) for (p, i), v in tab.items()}
     return engine
 
 
 def _state_value(engine, t, key):
-    engine._solve_node(t)
-    ent = engine.tables[t].get((mask_partition(key[0]), key[1]))
+    engine._solve_node(engine.nodes[t])
+    ent = engine.nodes[t].table.get((mask_partition(key[0]), key[1]))
     return None if ent is None else ent[0]
 
 
@@ -87,7 +86,7 @@ def compute_state(g, td, tree, t, key, child_tables, s, k):
     tables; None plays the role of infinity (no realizing partition of
     weight at most s, or an adhesion projection no candidate carries)."""
     engine = _prepared_engine(g, td, k, s, child_tables)
-    assert all(c in engine.tables for c in td.children_map()[t]), "child table missing"
+    assert all(engine.nodes[c].table is not None for c in td.children_map()[t]), "child table missing"
     engine.add_tree(tree)
     return _state_value(engine, t, key)
 
@@ -98,10 +97,10 @@ def cut_guess_value(g, td, tree, t, key, cprime, child_tables, s, k):
     edge list) alone; an upper bound on the true state value, tight for
     the right guess."""
     engine = _prepared_engine(g, td, k, s, child_tables)
-    ctx = engine.ctxs[t]
-    _, _, below = _projection(*_rooting(tree, g.n), ctx.bag_mask)
-    pieces = _cut_components(ctx.bag_mask, [side & ctx.bag_mask for side in below], set(cprime))
-    engine._add_guess(ctx, engine.cands[t], pieces)
+    node = engine.nodes[t]
+    _, _, below = _projection(*_rooting(tree, g.n), node.bag)
+    pieces = _cut_components(node.bag, [side & node.bag for side in below], set(cprime))
+    engine._add_guess(node, pieces)
     return _state_value(engine, t, key)
 
 
@@ -210,7 +209,7 @@ class TestProjectionKey:
             engine = _Engine(MultiGraph.multi(n, tree), TreeDecomposition((frozenset(x),), (-1,)), 2, n)
             got = []
 
-            def record(ctx, cands, pieces):
+            def record(node, pieces):
                 got.append(pieces)
                 return False
 
@@ -293,6 +292,15 @@ class TestSolveExact:
         with pytest.raises(InvalidInputError):
             solve_exact(MultiGraph.multi(4, [(0, 1), (2, 3)]), 2, 1)
 
+    def test_tree_family_of_another_graph_rejected(self):
+        # A family packed on a 7-vertex path names vertices a 6-cycle lacks.
+        g = cycle(6)
+        with pytest.raises(InvalidInputError, match="another graph"):
+            solve_exact(g, 2, 2, trees=pack_trees(path_graph(7), 1))
+        for fam in (pack_trees(g, 1), pack_trees(cycle(6), 3)):
+            res = solve_exact(g, 2, 2, trees=fam, mode="construct")
+            assert res.feasible and res.value == 2 == cut_weight(g, res.partition)
+
     def test_oracle_sweep_random(self):
         rng = random.Random(5)
         for _ in range(15):
@@ -331,10 +339,10 @@ class TestDefaultFamily:
     def test_tree_count_matches_enumeration(self):
         for seed in range(40):
             g = connected_multigraph(seed, n_lo=2, n_hi=8, extra_hi=10)
-            assert dp_module._spanning_tree_count(g) == len(enumerate_spanning_trees(g, cap=10**6)), seed
-        assert dp_module._spanning_tree_count(MultiGraph.multi(1, [])) == 1
+            assert _spanning_tree_count(g) == len(enumerate_spanning_trees(g, cap=10**6)), seed
+        assert _spanning_tree_count(MultiGraph.multi(1, [])) == 1
         k8 = MultiGraph.multi(8, [(i, j, 3) for i in range(8) for j in range(i + 1, 8)])
-        assert dp_module._spanning_tree_count(k8) == 8**6
+        assert _spanning_tree_count(k8) == 8**6
 
     def test_k10_two_blocks(self):
         # The first 5000 enumerated trees all cross {A, B} at least 4 times.
@@ -540,7 +548,7 @@ class TestSingleBagDifferential:
                 engine = _Engine(g, td, k, s)
                 engine.add_tree(tree)
                 engine.evaluate()
-                root = engine.tables[0]
+                root = engine.nodes[0].table
                 family = feasible_family(project_tree(tree, range(g.n)), k).partitions
                 for i in range(1, k + 1):
                     want = min(
@@ -592,8 +600,8 @@ class TestUnionEngine:
                 once.add_tree(fam.tree_edges(ti))
             once.evaluate()
             for t in range(len(td)):
-                assert _values(stepwise.tables[t]) == _values(once.tables[t]), t
-            for (pa, i) in stepwise.tables[td.root]:
+                assert _values(stepwise.nodes[t].table) == _values(once.nodes[t].table), t
+            for (pa, i) in stepwise.nodes[td.root].table:
                 stepwise.reconstruct(td.root, pa, i)  # rebuilds and re-weighs
         assert multi_node >= 2
 
@@ -610,14 +618,14 @@ class TestUnionEngine:
                 for ti in range(len(fam)):
                     pt = project_tree(fam.tree_edges(ti), td.adhesion(t))
                     family |= {mask_partition(p) for p in feasible_family(pt, k).partitions}
-                carried = set(union.cands[t].by_at)
+                carried = set(union.nodes[t].by_at)
                 assert carried and carried <= family, t
-            root = _values(union.tables[td.root])
+            root = _values(union.nodes[td.root].table)
             for ti in range(len(fam)):
                 single = _Engine(g, td, k, s)
                 single.add_tree(fam.tree_edges(ti))
                 single.evaluate()
-                for key, v in _values(single.tables[td.root]).items():
+                for key, v in _values(single.nodes[td.root].table).items():
                     assert root[key] <= v
 
 
@@ -647,18 +655,34 @@ class TestUnionEngine:
                     return key, w
 
                 lightest: dict = {}
-                for pieces in engine.cands[t].seen_pieces:
+                for pieces in engine.nodes[t].seen_pieces:
                     for parts in _groupings(pieces):
                         if len(parts) <= k:
                             key, w = key_weight(parts)
                             lightest[key] = min(w, lightest.get(key, w))
                 kept = {}
-                for at, group in engine.cands[t].by_at.items():
-                    for (nparts, cprojs), co in group.items():
-                        assert key_weight(co.parts) == ((at, nparts, cprojs), co.w_base)
-                        kept[(at, nparts, cprojs)] = co.w_base
+                for at, group in engine.nodes[t].by_at.items():
+                    for (nparts, cprojs), (w, parts) in group.items():
+                        assert key_weight(parts) == ((at, nparts, cprojs), w)
+                        kept[(at, nparts, cprojs)] = w
                 assert kept == lightest, t
         assert with_children
+
+    def test_replaced_entry_moves_behind_later_ties(self):
+        # Six heavy pairs in a ring of light links, decomposed into four
+        # bags at s = 3: the 2-cuts around {2..5}, {6, 7} and {2..7} all
+        # weigh 2.  The witness is the first lightest candidate in the
+        # order entries are found, so an entry that a strictly lighter
+        # grouping replaces moves behind the entries found meanwhile;
+        # keeping its old place makes {6, 7} the witness instead.
+        g = MultiGraph.multi(12, [
+            (0, 1, 3), (0, 10, 2), (1, 3, 1), (2, 3, 3), (3, 4, 2), (4, 5, 3),
+            (4, 7, 1), (6, 7, 3), (6, 9, 1), (8, 9, 3), (9, 10, 2), (10, 11, 3),
+        ])
+        assert len(build_unbreakable_decomposition(g, 3)) == 4
+        value, witness = exact_values(g, 3, 3)[2]
+        assert value == 2 == cut_weight(g, witness)
+        assert canon(witness) == ((0, 1, 6, 7, 8, 9, 10, 11), (2, 3, 4, 5))
 
 
 def clique_ring_graph(seed):
@@ -805,15 +829,15 @@ class TestOversizedBranch:
         # candidate of every node is checked against a direct count.
         g = connected_multigraph(seed, n_lo=6, n_hi=16, extra_hi=8)
         engine = _Engine(g, build_unbreakable_decomposition(g, 3), k, 3)
-        fam = dp_module._tree_family(g, k)
+        fam = _tree_family(g, k)
         for ti in range(len(fam)):
             engine.add_tree(fam.tree_edges(ti))
         checked = 0
-        for cands in engine.cands.values():
-            for co in (co for group in cands.by_at.values() for co in group.values()):
-                bag = sum(co.parts)
+        for node in engine.nodes:
+            for weight, parts in (ent for group in node.by_at.values() for ent in group.values()):
+                bag = sum(parts)
                 inside = [(u, v, w) for u, v, w in g.edges if bag >> u & 1 and bag >> v & 1]
-                assert co.w_base == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in co.parts))
+                assert weight == sum(w for u, v, w in inside if not any(p >> u & 1 and p >> v & 1 for p in parts))
                 checked += 1
         assert checked
 

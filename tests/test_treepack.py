@@ -3,9 +3,8 @@ import random
 import pytest
 
 from kcut.cuts import oracle_exact_kcut
-from kcut.dp import _spanning_tree_count
 from kcut.graph import InvalidInputError, MultiGraph, Partition
-from kcut.treepack import enumerate_spanning_trees, pack_trees
+from kcut.treepack import _spanning_tree_count, enumerate_spanning_trees, pack_trees
 
 from conftest import connected_multigraph
 from reference import crossings
